@@ -3,14 +3,14 @@
 //!
 //! Two phases, both **asserted**:
 //!
-//! 1. **nominal** — a synthetic cohort streamed through queues roomy
-//!    enough that `Busy` is impossible must end with every catalog SLO
+//! 1. **nominal** — a synthetic cohort streamed under a per-push bound
+//!    roomy enough that `Busy` is impossible must end with every catalog SLO
 //!    `Ok` on every health tick (zero alerts), and the wire exposition
 //!    (including the new `hrv_slo_*` and `hrv_build_info` families)
 //!    must be conformant Prometheus text format;
-//! 2. **overload** — a gateway with a tiny queue is hammered with
-//!    oversized batches (each push is a guaranteed whole-batch `Busy`
-//!    refusal, independent of pump timing), one health tick per round;
+//! 2. **overload** — a gateway with a tiny per-push bound is hammered
+//!    with oversized batches (each push is a guaranteed whole-batch
+//!    `Busy` refusal), one health tick per round;
 //!    the `busy_ratio` SLO must page exactly at tick 3 (dwell 2), the
 //!    refusals must be journalled, and the whole per-tick trajectory —
 //!    states *and* burn rates — must replay bit-identically on a second
@@ -84,8 +84,8 @@ fn main() {
     );
 }
 
-/// Streams the cohort through a gateway whose queues cannot overflow
-/// (capacity exceeds every stream's total sample count), ticking the
+/// Streams the cohort through a gateway whose per-push bound every
+/// batch fits, ticking the
 /// health engine as it goes: every SLO must stay `Ok` on every tick.
 fn nominal_phase(streams: usize, seconds: f64) {
     let handle = Gateway::start(GatewayConfig {
@@ -125,8 +125,8 @@ fn nominal_phase(streams: usize, seconds: f64) {
             assert_eq!(alert.since_tick, 0, "{} never left Ok", alert.slo);
         }
     }
-    // Settle the pipeline (reports drain queues inline), then a few
-    // extra ticks over the idle gateway: still alert-free.
+    // Count the analysed windows (every answered push is analysed), then
+    // a few extra ticks over the idle gateway: still alert-free.
     let mut windows = 0u64;
     for id in 0..streams {
         windows += client.read_report(id as u64).expect("report").windows;
@@ -166,7 +166,7 @@ fn nominal_phase(streams: usize, seconds: f64) {
     );
 }
 
-/// Hammers a tiny-queue gateway with guaranteed-refused pushes, one
+/// Hammers a tiny-bound gateway with guaranteed-refused pushes, one
 /// health tick per round, and records the `busy_ratio` trajectory.
 ///
 /// Each round contributes exactly two request frames (the refused push
@@ -206,7 +206,7 @@ fn overload_phase(rounds: usize) -> Vec<BusyTick> {
             busy.long_burn,
         ));
     }
-    // Every refusal is journalled with the queue's true capacity.
+    // Every refusal is journalled.
     let refusals = client
         .read_events(0)
         .expect("events")

@@ -15,8 +15,8 @@
 //!
 //! With `HRV_TOP_SNAPSHOT=path`, demo mode instead writes one
 //! deterministic JSON snapshot and exits. The snapshot deliberately
-//! excludes every wall-clock-derived quantity (latency quantiles,
-//! queue-wait counts); what remains — alert states, stream
+//! excludes every wall-clock-derived quantity (latency quantiles and
+//! their counts); what remains — alert states, stream
 //! windows/energy/backends, journal event kinds, build identity — is a
 //! pure function of the scripted feed, so two invocations produce
 //! byte-identical files. CI runs it twice and `cmp`s.
@@ -107,11 +107,8 @@ fn demo() {
             .set_quality(1, hrv_core::ApproximationMode::BandDrop)
             .expect("set quality");
     }
-    // Settle: reports drain the queues inline, so the snapshot below
-    // sees every window and empty queues regardless of pump timing.
-    for id in 0..streams {
-        client.read_report(id as u64).expect("report");
-    }
+    // Every answered push is analysed, so the snapshot below sees every
+    // window.
     let health = client.read_health().expect("health");
     let events = recent_events(&mut client, &health);
     if let Ok(path) = std::env::var("HRV_TOP_SNAPSHOT") {

@@ -16,7 +16,7 @@
 //!   HRV_LOADGEN_STREAMS  concurrent client connections (default 16)
 //!   HRV_LOADGEN_SECONDS  seconds of RR data per stream (default 600)
 //!   HRV_LOADGEN_BATCH    samples per PushRr frame      (default 64)
-//!   HRV_LOADGEN_QUEUE    per-session queue capacity    (default 1024)
+//!   HRV_LOADGEN_QUEUE    per-push sample bound         (default 1024)
 //!   HRV_LOADGEN_WORKERS  fleet worker shards           (default 2)
 //!   HRV_LOADGEN_BUDGET_J joules per 4-window interval  (default 0 = ungoverned)
 //!   HRV_LOADGEN_TRACE    path: enable span tracing and dump Chrome
@@ -78,7 +78,6 @@ const STAGE_FAMILIES: &[&str] = &[
     "hrv_service_conn_idle_seconds",
     "hrv_service_frame_read_seconds",
     "hrv_service_frame_decode_seconds",
-    "hrv_service_queue_wait_seconds",
     "hrv_service_pump_dispatch_seconds",
     "hrv_stream_window_compute_seconds",
     "hrv_stream_governor_decision_seconds",
@@ -277,13 +276,12 @@ fn thread_per_conn_main() {
     let addr = handle.local_addr();
     println!(
         "loadgen: {streams} connections x {seconds:.0} s ({batch}-sample frames, \
-         {queue}-sample queues, {workers} fleet workers) -> {addr}"
+         {queue}-sample push bound, {workers} fleet workers) -> {addr}"
     );
 
     // ---- one client thread per stream -----------------------------------
     let replay_started = Instant::now();
     let mut samples_sent = 0u64;
-    let mut busy_retries = 0u64;
     std::thread::scope(|scope| {
         let threads: Vec<_> = (0..streams)
             .map(|id| {
@@ -301,28 +299,19 @@ fn thread_per_conn_main() {
                         .copied()
                         .zip(record.rr.intervals().iter().copied())
                         .collect();
-                    let (mut sent, mut retries) = (0u64, 0u64);
+                    // Batches never exceed the per-push bound, so every
+                    // push is answered `Pushed` with its windows computed.
                     for chunk in samples.chunks(batch) {
-                        loop {
-                            match client.push_rr(id as u64, chunk) {
-                                Ok(_) => break,
-                                Err(hrv_service::ServiceError::Busy { .. }) => {
-                                    retries += 1;
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                                Err(err) => panic!("stream {id}: {err}"),
-                            }
+                        if let Err(err) = client.push_rr(id as u64, chunk) {
+                            panic!("stream {id}: {err}");
                         }
-                        sent += chunk.len() as u64;
                     }
-                    (sent, retries)
+                    samples.len() as u64
                 })
             })
             .collect();
         for thread in threads {
-            let (sent, retries) = thread.join().expect("client thread");
-            samples_sent += sent;
-            busy_retries += retries;
+            samples_sent += thread.join().expect("client thread");
         }
     });
     let replay_wall = replay_started.elapsed().as_secs_f64();
@@ -352,7 +341,7 @@ fn thread_per_conn_main() {
     validate_exposition(&live_metrics).expect("wire exposition conformant");
     for family in [
         "# TYPE hrv_service_frame_decode_seconds histogram",
-        "# TYPE hrv_service_queue_wait_seconds histogram",
+        "# TYPE hrv_service_pump_dispatch_seconds histogram",
         "# TYPE hrv_stream_window_compute_seconds histogram",
     ] {
         assert!(live_metrics.contains(family), "missing {family:?}");
@@ -387,8 +376,8 @@ fn thread_per_conn_main() {
         samples_sent as f64 / replay_wall
     );
     println!(
-        "\n{samples_sent} samples over {streams} connections; {busy_retries} Busy retries \
-         (backpressure), drain {drain_wall:.3} s; per-stream reports bit-identical: yes"
+        "\n{samples_sent} samples over {streams} connections; drain {drain_wall:.3} s; \
+         per-stream reports bit-identical: yes"
     );
 
     // ---- per-stage latency breakdown (the new histograms) ---------------

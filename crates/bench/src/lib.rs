@@ -1,8 +1,7 @@
 //! # hrv-bench
 //!
 //! The benchmark harness that regenerates every table and figure of the
-//! DATE 2014 paper (see `DESIGN.md` §4 for the experiment index and
-//! `EXPERIMENTS.md` for paper-vs-measured results).
+//! DATE 2014 paper; each binary prints its paper-vs-measured comparison.
 //!
 //! One binary per figure/table:
 //!

@@ -2,7 +2,7 @@
 //!
 //! Every subsystem that wants to surface operational numbers — the
 //! [`crate::KernelCache`]'s build/hit counters, a fleet's throughput, a
-//! network gateway's per-session queue depths, a pipeline stage's
+//! network gateway's admission counters, a pipeline stage's
 //! latency distribution — registers [`Counter`]s, [`Gauge`]s and
 //! [`Histogram`]s in one [`Telemetry`] registry and updates them through
 //! lock-free atomic handles. [`Telemetry::render`] serialises the whole
@@ -657,8 +657,8 @@ impl Telemetry {
             .collect()
     }
 
-    /// Drops one labelled series (e.g. the queue-depth gauge of a closed
-    /// session). Returns `true` when the series existed. Unlabelled
+    /// Drops one labelled series (e.g. a gauge whose label value was
+    /// retired). Returns `true` when the series existed. Unlabelled
     /// series use an empty label slice.
     pub fn remove_series(&self, name: &str, labels: &[(&str, &str)]) -> bool {
         let block = label_block(labels);

@@ -235,7 +235,7 @@ struct LocalSlot {
 /// The span recorder; see the module docs.
 ///
 /// Cloning is cheap and yields a handle to the same trace state, so one
-/// tracer threads through a gateway, its pump and the fleet workers.
+/// tracer threads through a gateway's reactor shards and its fleet.
 #[derive(Clone, Debug)]
 pub struct Tracer {
     inner: Arc<TracerInner>,
@@ -555,8 +555,8 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Discards the span without recording it — for call sites that only
-    /// know in hindsight that nothing happened (e.g. a pump dispatch
-    /// that found every queue empty). Child spans opened while the guard
+    /// know in hindsight that nothing happened (e.g. a window-compute
+    /// span around a sample that emitted no window). Child spans opened while the guard
     /// was live keep their parent link; only this span's own record is
     /// dropped.
     pub fn cancel(mut self) {

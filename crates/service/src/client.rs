@@ -17,6 +17,11 @@ use std::time::Duration;
 
 /// Jittered exponential backoff schedule for `Busy` retries.
 ///
+/// Against this crate's gateway a retry cannot help: there `Busy` means
+/// the batch is above the per-push bound, so the same batch is refused
+/// again (split it instead). The schedule serves peers whose refusals
+/// clear with time, and load generators that model such clients.
+///
 /// Attempt `n` draws a delay uniformly from `[envelope/2, envelope]`
 /// where `envelope = min(cap, base · 2ⁿ)` — "equal jitter": the
 /// exponential envelope bounds the wait, the random half keeps a
@@ -179,9 +184,9 @@ impl ServiceClient {
         }
     }
 
-    /// Pushes `(beat time, RR)` samples; [`ServiceError::Busy`] signals
-    /// backpressure (retry after a pause, or see
-    /// [`ServiceClient::push_rr_blocking`]).
+    /// Pushes `(beat time, RR)` samples. The reply comes once the
+    /// windows they complete are computed; [`ServiceError::Busy`] means
+    /// the batch exceeds the gateway's per-push bound.
     ///
     /// # Errors
     ///
@@ -194,31 +199,10 @@ impl ServiceClient {
     }
 
     /// [`ServiceClient::push_rr`], retrying on [`ServiceError::Busy`]
-    /// with a fixed pause. Prefer [`ServiceClient::push_rr_backoff`]
-    /// when many clients share a gateway — fixed pauses re-knock in
-    /// lockstep.
-    ///
-    /// # Errors
-    ///
-    /// Every error except `Busy` is returned as-is.
-    pub fn push_rr_blocking(
-        &mut self,
-        stream: u64,
-        samples: &[(f64, f64)],
-        pause: Duration,
-    ) -> Result<Pushed, ServiceError> {
-        loop {
-            match self.push_rr(stream, samples) {
-                Err(ServiceError::Busy { .. }) => std::thread::sleep(pause),
-                outcome => return outcome,
-            }
-        }
-    }
-
-    /// [`ServiceClient::push_rr`], retrying on [`ServiceError::Busy`]
     /// with the jittered exponential schedule of `backoff` (reset on
-    /// entry) — the polite way for a fleet of clients to saturate a
-    /// gateway without re-knocking in lockstep.
+    /// entry) — the polite way for a fleet of clients to re-knock
+    /// without lockstep. See [`BusyBackoff`]: this crate's gateway
+    /// refuses a batch above its per-push bound on every retry.
     ///
     /// # Errors
     ///
@@ -251,32 +235,11 @@ impl ServiceClient {
         }
     }
 
-    /// [`ServiceClient::push_beats`], retrying on [`ServiceError::Busy`]
-    /// with a fixed pause — a `Busy` refusal leaves the gateway's beat
-    /// filter untouched, so the retried batch replays identically.
-    ///
-    /// # Errors
-    ///
-    /// Every error except `Busy` is returned as-is.
-    pub fn push_beats_blocking(
-        &mut self,
-        stream: u64,
-        beats: &[f64],
-        pause: Duration,
-    ) -> Result<Pushed, ServiceError> {
-        loop {
-            match self.push_beats(stream, beats) {
-                Err(ServiceError::Busy { .. }) => std::thread::sleep(pause),
-                outcome => return outcome,
-            }
-        }
-    }
-
     /// [`ServiceClient::push_beats`], retrying on
     /// [`ServiceError::Busy`] with the jittered exponential schedule of
     /// `backoff` (reset on entry) — a `Busy` refusal leaves the
     /// gateway's beat filter untouched, so the retried batch replays
-    /// identically.
+    /// identically. See [`BusyBackoff`] for when a retry can succeed.
     ///
     /// # Errors
     ///
@@ -296,8 +259,8 @@ impl ServiceClient {
         })
     }
 
-    /// Reads the stream's current report (queued samples are analysed
-    /// first, so the report reflects everything pushed so far).
+    /// Reads the stream's current report (every answered push is already
+    /// analysed, so the report reflects everything pushed so far).
     ///
     /// # Errors
     ///

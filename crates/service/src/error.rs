@@ -40,13 +40,14 @@ pub enum ServiceError {
         /// The configured session cap.
         max: u32,
     },
-    /// The session's bounded queue cannot take this batch — backpressure;
-    /// retry after the analysis pump has drained it. The queue never
-    /// grows past `capacity`.
+    /// The push carries more samples than the gateway's per-push bound
+    /// ([`crate::SessionConfig::queue_capacity`]) and was refused whole.
+    /// A retry of the same batch is refused again: split it into batches
+    /// of at most `capacity` samples.
     Busy {
-        /// The saturated stream.
+        /// The stream the batch was pushed to.
         stream: u64,
-        /// Its queue capacity in samples.
+        /// The per-push bound in samples.
         capacity: u32,
     },
     /// A control target (quality / budget payload) was rejected at the
@@ -81,7 +82,7 @@ impl fmt::Display for ServiceError {
             ServiceError::Busy { stream, capacity } => {
                 write!(
                     f,
-                    "stream {stream} queue is full ({capacity} samples); retry later"
+                    "stream {stream}: push exceeds the {capacity}-sample per-push bound; split it"
                 )
             }
             ServiceError::InvalidTarget(reason) => {

@@ -1,29 +1,28 @@
-//! The TCP gateway: reactor shards and the analysis pump.
+//! The TCP gateway: reactor shards around one analysis lock.
 //!
-//! Two kinds of threads cooperate around two shared structures:
+//! **Reactor shards** ([`crate::reactor`]) own every connection:
+//! nonblocking accept, edge-triggered frame reassembly, request serving
+//! and vectored reply writes all happen on a fixed number of event-loop
+//! threads, so sessions scale past thread-per-connection limits.
 //!
-//! * **reactor shards** ([`crate::reactor`]) own every connection:
-//!   nonblocking accept, edge-triggered frame reassembly, request
-//!   serving, and vectored reply writes all happen on a fixed number of
-//!   event-loop threads, so sessions scale past thread-per-connection
-//!   limits. Pushes land in the session table's bounded queues and are
-//!   answered immediately (`Pushed` or `Busy` — network reads never
-//!   wait on analysis);
-//! * the **pump** moves queued samples into the [`FleetScheduler`]
-//!   (external-ingest mode, kernels from the shared
-//!   [`hrv_core::KernelCache`]) and performs the shutdown drain, waking
-//!   the shards when the final reports are published so parked
-//!   `Shutdown` connections get their `ShutdownAck` event-driven, never
-//!   by polling.
+//! Every request that touches analysis state takes the one mutex around
+//! the `SessionTable` — the session registry and the external-ingest
+//! [`FleetScheduler`] it feeds (kernels from the shared
+//! [`hrv_core::KernelCache`]). A push is analysed on the shard that
+//! decoded it: the batch goes through the fleet's ingest gate and every
+//! window it completes is computed before `Pushed` is sent, so the
+//! windows are already visible to the next `ReadHealth` or
+//! `ReadReport`. A shard therefore waits at most for another push's
+//! bounded compute ([`SessionConfig::queue_capacity`] samples).
 //!
-//! Lock discipline: whenever session queues are *drained into the
-//! fleet*, the fleet lock is taken **before** the session lock, and the
-//! samples move inside that critical section — so two drainers can never
-//! reorder one stream's samples. Queue *appends* (reactor shards) only
-//! take the session lock, which is also where the "still admitting?"
-//! check lives; after the drain pass observes `STATE_DRAINING` and empty
-//! queues, no sample can exist outside the fleet, making the final
-//! per-stream reports complete.
+//! Shutdown: whichever caller moves the state from running to draining
+//! — a shard serving `Shutdown`, or [`GatewayHandle::shutdown`] /
+//! `Drop` — runs the drain on its own thread under the same lock. Every
+//! push that got the lock first is already in the fleet and every later
+//! one is refused, so the final per-stream reports are complete. The
+//! drain then marks the gateway done (also if it unwinds) and wakes the
+//! shards, which answer parked `Shutdown` connections event-driven,
+//! never by polling.
 
 use crate::client::ServiceClient;
 use crate::error::ServiceError;
@@ -37,12 +36,12 @@ use hrv_core::{
     lock_unpoisoned, Counter, HealthConfig, HealthEngine, Histogram, MonotonicClock, PsaConfig,
     PsaError, Slo, SpectralPlan, Telemetry, Tracer,
 };
-use hrv_stream::{EventRecord, FleetScheduler, StreamReport};
+use hrv_stream::{FleetScheduler, StreamReport};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Hard ceiling on [`SessionConfig::max_sessions`], chosen so the
@@ -61,9 +60,10 @@ pub struct GatewayConfig {
     /// The analysis configuration every stream runs
     /// ([`PsaConfig::conventional`] by default).
     pub psa: PsaConfig,
-    /// Worker shards of the backing fleet.
+    /// Worker shards of the backing fleet (a state partition: pushes
+    /// are analysed on the reactor shard that decoded them).
     pub workers: usize,
-    /// Session admission limits.
+    /// Session admission limits and the per-push bound.
     pub session: SessionConfig,
     /// Reactor shards (event-loop threads) the connection layer runs.
     /// Connections are partitioned across shards with the same
@@ -74,17 +74,13 @@ pub struct GatewayConfig {
     /// the backlog — a client that stops reading cannot grow gateway
     /// memory without bound.
     pub write_buffer: usize,
-    /// Pump sleep when every queue was empty.
-    pub pump_idle: Duration,
-    /// Samples the pump moves per session per pass.
-    pub drain_batch: usize,
     /// Maximum concurrent connections across all reactor shards. A
     /// connection accepted at the cap is closed immediately after a
-    /// best-effort typed refusal — connections, like queues, never grow
+    /// best-effort typed refusal — connections, like pushes, never grow
     /// without bound.
     pub max_connections: usize,
     /// Span tracer threaded through every pipeline stage (request
-    /// handling, pump dispatch, fleet window compute). The default is
+    /// handling, push dispatch, fleet window compute). The default is
     /// [`Tracer::disabled`] — one relaxed atomic load per would-be span,
     /// no clock reads. Pass [`Tracer::monotonic`] to record, then pull
     /// spans/Chrome JSON from [`GatewayHandle::tracer`].
@@ -106,8 +102,6 @@ impl Default for GatewayConfig {
             session: SessionConfig::default(),
             reactors: 2,
             write_buffer: 256 * 1024,
-            pump_idle: Duration::from_millis(1),
-            drain_batch: 512,
             max_connections: 256,
             tracer: Tracer::disabled(),
             health: HealthConfig::default(),
@@ -118,22 +112,21 @@ impl Default for GatewayConfig {
 /// State shared by every gateway thread.
 struct Shared {
     state: Arc<AtomicU8>,
-    sessions: SessionTable,
-    fleet: Mutex<FleetScheduler>,
+    /// The one analysis lock: session registry and fleet together.
+    sessions: Mutex<SessionTable>,
     telemetry: Telemetry,
     session_config: SessionConfig,
     final_reports: Mutex<Option<Vec<StreamReport>>>,
-    /// Wake handles of the reactor shards, so drain-state transitions
-    /// (a `Shutdown` frame, the pump publishing reports, the gateway
-    /// handle dropping) interrupt their `epoll_wait` immediately.
+    /// Wake handles of the reactor shards, so the end of the drain
+    /// interrupts their `epoll_wait` immediately.
     shards: Vec<ShardHandle>,
     connections_total: Counter,
     frames_total: Counter,
     errors_total: Counter,
     tracer: Tracer,
     /// The burn-rate engine behind `ReadHealth`. Locked only inside
-    /// that handler, after the fleet lock is released — it never nests
-    /// with the fleet or session locks.
+    /// that handler, after the session lock is released — the two never
+    /// nest.
     health: Mutex<HealthEngine>,
     /// Socket-read work per completed frame (bytes-available →
     /// frame-complete; idle waits excluded — they land in
@@ -146,15 +139,43 @@ struct Shared {
     frame_decode_hist: Histogram,
     /// [`Reply`] encode time per frame (socket write excluded).
     report_encode_hist: Histogram,
-    /// Pump time moving one session's non-empty batch into the fleet.
-    pump_dispatch_hist: Histogram,
 }
 
 impl Shared {
-    /// Interrupts every shard's `epoll_wait` so a state transition is
-    /// observed now, not at the next timeout tick.
-    fn wake_shards(&self) {
-        for shard in &self.shards {
+    /// Moves the gateway from running to draining. The caller that wins
+    /// the transition runs the drain synchronously and returns once the
+    /// final reports are published; every other caller returns at once.
+    ///
+    /// `STATE_DRAINING` is visible before the drain takes the session
+    /// lock, so every push that can still reach the fleet already has,
+    /// and the final reports are complete.
+    fn begin_drain(&self) {
+        let won = self
+            .state
+            .compare_exchange(
+                STATE_RUNNING,
+                STATE_DRAINING,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            )
+            .is_ok();
+        if won {
+            let _done = DoneGuard(self);
+            let reports = lock_unpoisoned(&self.sessions).close_all(&self.telemetry);
+            *lock_unpoisoned(&self.final_reports) = Some(reports);
+        }
+    }
+}
+
+/// Moves the state to `STATE_DONE` when the drain ends — also when it
+/// unwinds — and wakes the shards so parked `Shutdown` connections get
+/// their answer (or a typed failure) now, not at their next timeout.
+struct DoneGuard<'a>(&'a Shared);
+
+impl Drop for DoneGuard<'_> {
+    fn drop(&mut self) {
+        self.0.state.store(STATE_DONE, Ordering::SeqCst);
+        for shard in &self.0.shards {
             shard.wake();
         }
     }
@@ -238,8 +259,13 @@ impl Gateway {
         let shards = reactor::shard_handles(config.reactors)?;
         let shared = Arc::new(Shared {
             state: state.clone(),
-            sessions: SessionTable::new(config.session.clone(), telemetry.clone(), state),
-            fleet: Mutex::new(fleet),
+            sessions: Mutex::new(SessionTable::new(
+                fleet,
+                config.session.clone(),
+                &telemetry,
+                config.tracer.clone(),
+                state,
+            )),
             telemetry: telemetry.clone(),
             session_config: config.session.clone(),
             final_reports: Mutex::new(None),
@@ -268,18 +294,7 @@ impl Gateway {
                 "hrv_service_report_encode_seconds",
                 "reply encode time per frame (socket write excluded)",
             ),
-            pump_dispatch_hist: telemetry.histogram(
-                "hrv_service_pump_dispatch_seconds",
-                "pump time moving one session's non-empty batch into the fleet",
-            ),
         });
-        let pump = {
-            let shared = Arc::clone(&shared);
-            let (drain_batch, idle) = (config.drain_batch.max(1), config.pump_idle);
-            thread::Builder::new()
-                .name("hrv-service-pump".into())
-                .spawn(move || pump_loop(&shared, drain_batch, idle))?
-        };
         let reactor_config = ReactorConfig {
             max_connections: config.max_connections.max(1),
             write_buffer: config.write_buffer,
@@ -289,14 +304,13 @@ impl Gateway {
             addr,
             shared,
             reactors,
-            pump: Some(pump),
         })
     }
 }
 
 /// Builds the gateway's SLO catalog: request-path tail latency and the
 /// admission `Busy` ratio. Thresholds are deliberately generous — the
-/// catalog exists to catch overload (queues refusing work, encode/decode
+/// catalog exists to catch overload (oversized pushes refused, encode/decode
 /// stalls), not to grade absolute wall-clock performance, which CI
 /// machines cannot do deterministically.
 fn default_health_engine(telemetry: &Telemetry, config: HealthConfig) -> HealthEngine {
@@ -328,7 +342,6 @@ pub struct GatewayHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
     reactors: Vec<JoinHandle<()>>,
-    pump: Option<JoinHandle<()>>,
 }
 
 impl GatewayHandle {
@@ -360,20 +373,15 @@ impl GatewayHandle {
         ServiceClient::connect(self.addr)
     }
 
-    /// Initiates the drain (idempotent), waits for it to complete and
-    /// returns the final id-ordered per-stream reports.
+    /// Drains the gateway (on this thread, unless a client's `Shutdown`
+    /// got there first), waits for the shards to finish and returns the
+    /// final id-ordered per-stream reports.
     ///
     /// # Errors
     ///
     /// Returns [`ServiceError::Io`] when a service thread panicked.
     pub fn shutdown(mut self) -> Result<Vec<StreamReport>, ServiceError> {
-        let _ = self.shared.state.compare_exchange(
-            STATE_RUNNING,
-            STATE_DRAINING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.shared.wake_shards();
+        self.shared.begin_drain();
         self.join()?;
         let reports = lock_unpoisoned(&self.shared.final_reports).clone();
         reports.ok_or_else(|| ServiceError::Io("gateway drained without reports".into()))
@@ -394,9 +402,6 @@ impl GatewayHandle {
 
     fn join(&mut self) -> Result<(), ServiceError> {
         let mut panicked = false;
-        if let Some(pump) = self.pump.take() {
-            panicked |= pump.join().is_err();
-        }
         for reactor in self.reactors.drain(..) {
             panicked |= reactor.join().is_err();
         }
@@ -409,13 +414,11 @@ impl GatewayHandle {
 
 impl Drop for GatewayHandle {
     fn drop(&mut self) {
-        let _ = self.shared.state.compare_exchange(
-            STATE_RUNNING,
-            STATE_DRAINING,
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-        );
-        self.shared.wake_shards();
+        // A panic here while the caller is already unwinding would abort
+        // the process; the drain's guard still marks the gateway done, so
+        // the shards exit and the join below returns.
+        let shared = &self.shared;
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| shared.begin_drain()));
         let _ = self.join();
     }
 }
@@ -423,8 +426,9 @@ impl Drop for GatewayHandle {
 impl ShardService for Shared {
     /// Serves one decoded frame on a reactor shard: decode → (hello
     /// gate) → handle → encode, each stage spanned and timed exactly as
-    /// the thread-per-connection handler did. `Shutdown` parks the
-    /// connection instead of blocking an event-loop thread on the drain.
+    /// the thread-per-connection handler did. `Shutdown` runs the drain
+    /// (if no one else is) and parks the connection; the shard's drain
+    /// epilogue sends the `ShutdownAck`.
     fn serve(&self, handshaken: &mut bool, body: &[u8]) -> ServeOutcome {
         self.frames_total.inc();
         // The root span covers decode → handle → encode; socket reads
@@ -449,16 +453,7 @@ impl ShardService for Shared {
                 ))
             }
             Ok(Request::Shutdown) => {
-                // Begin the drain and park the connection: the reactor
-                // delivers the ShutdownAck once the pump publishes the
-                // final reports (see the shard drain epilogue).
-                let _ = self.state.compare_exchange(
-                    STATE_RUNNING,
-                    STATE_DRAINING,
-                    Ordering::SeqCst,
-                    Ordering::SeqCst,
-                );
-                self.wake_shards();
+                self.begin_drain();
                 return ServeOutcome::ShutdownPending;
             }
             Ok(request) => {
@@ -535,32 +530,36 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
                 }
             }
         }
-        Request::OpenStream { stream } => match open_stream(shared, stream) {
+        Request::OpenStream { stream } => match lock_unpoisoned(&shared.sessions).open(stream) {
             Ok(()) => Reply::StreamOpened { stream },
             Err(err) => Reply::Error(err),
         },
-        Request::PushRr { stream, samples } => match shared.sessions.push_rr(stream, &samples) {
-            Ok(pushed) => Reply::Pushed(pushed),
-            Err(err) => Reply::Error(err),
-        },
-        Request::PushBeats { stream, beats } => match shared.sessions.push_beats(stream, &beats) {
-            Ok(pushed) => Reply::Pushed(pushed),
-            Err(err) => Reply::Error(err),
-        },
+        Request::PushRr { stream, samples } => {
+            match lock_unpoisoned(&shared.sessions).push_rr(stream, &samples) {
+                Ok(pushed) => Reply::Pushed(pushed),
+                Err(err) => Reply::Error(err),
+            }
+        }
+        Request::PushBeats { stream, beats } => {
+            match lock_unpoisoned(&shared.sessions).push_beats(stream, &beats) {
+                Ok(pushed) => Reply::Pushed(pushed),
+                Err(err) => Reply::Error(err),
+            }
+        }
         Request::ReadReport { stream } => {
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
-            match fleet.stream_report(stream as usize) {
+            match lock_unpoisoned(&shared.sessions)
+                .fleet
+                .stream_report(stream as usize)
+            {
                 Ok(report) => Reply::Report(report),
                 Err(err) => Reply::Error(err.into()),
             }
         }
         Request::SetQuality { stream, mode } => {
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            // Drain first so the switch applies after the samples the
-            // client already pushed, not in the middle of them.
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
-            match fleet.set_stream_mode(stream as usize, mode) {
+            match lock_unpoisoned(&shared.sessions)
+                .fleet
+                .set_stream_mode(stream as usize, mode)
+            {
                 Ok(backend) => Reply::QualitySet { stream, backend },
                 Err(err) => Reply::Error(err.into()),
             }
@@ -573,52 +572,42 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             if let Err(err) = budget.validate() {
                 return Reply::Error(ServiceError::InvalidTarget(err.to_string()));
             }
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            // Drain first so the governor takes over after the samples
-            // the client already pushed, not in the middle of them.
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
-            match fleet.set_stream_budget(stream as usize, budget) {
+            match lock_unpoisoned(&shared.sessions)
+                .fleet
+                .set_stream_budget(stream as usize, budget)
+            {
                 Ok(backend) => Reply::BudgetSet { stream, backend },
                 Err(err) => Reply::Error(err.into()),
             }
         }
         Request::ReadBudget { stream } => {
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
-            match fleet.stream_budget(stream as usize) {
+            match lock_unpoisoned(&shared.sessions)
+                .fleet
+                .stream_budget(stream as usize)
+            {
                 Ok(status) => Reply::Budget(status),
                 Err(err) => Reply::Error(err.into()),
             }
         }
         Request::ReadMetrics => {
-            {
-                let fleet = lock_unpoisoned(&shared.fleet);
-                fleet.report().publish(&shared.telemetry);
-                fleet.kernel_cache().publish(&shared.telemetry);
-            }
+            lock_unpoisoned(&shared.sessions).publish(&shared.telemetry);
             Reply::Metrics(shared.telemetry.render())
         }
         Request::ReadHealth => Reply::Health(read_health(shared)),
-        Request::ReadEvents { stream } => match read_events(shared, stream) {
+        Request::ReadEvents { stream } => match lock_unpoisoned(&shared.sessions).events(stream) {
             Ok(events) => Reply::Events { stream, events },
             Err(err) => Reply::Error(err),
         },
-        Request::CloseStream { stream } => match close_stream(shared, stream) {
+        Request::CloseStream { stream } => match lock_unpoisoned(&shared.sessions).close(stream) {
             Ok(report) => Reply::Closed(report),
             Err(err) => Reply::Error(err),
         },
         // Unreachable from the reactor path — `serve` intercepts
         // Shutdown to park the connection — but kept total for any
-        // direct caller: initiating the drain twice is harmless and the
-        // typed reply says what to expect instead.
+        // direct caller: the drain runs once, and the typed reply says
+        // what to expect instead.
         Request::Shutdown => {
-            let _ = shared.state.compare_exchange(
-                STATE_RUNNING,
-                STATE_DRAINING,
-                Ordering::SeqCst,
-                Ordering::SeqCst,
-            );
-            shared.wake_shards();
+            shared.begin_drain();
             Reply::Error(ServiceError::ShuttingDown)
         }
     }
@@ -628,11 +617,10 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
 /// in `ReadHealth` snapshots, pipeline order. `conn_idle` leads: it is
 /// the socket wait the `frame_read` row explicitly excludes, kept as
 /// its own family so the stage table stays honest.
-const STAGE_FAMILIES: [&str; 8] = [
+const STAGE_FAMILIES: [&str; 7] = [
     "hrv_service_conn_idle_seconds",
     "hrv_service_frame_read_seconds",
     "hrv_service_frame_decode_seconds",
-    "hrv_service_queue_wait_seconds",
     "hrv_service_pump_dispatch_seconds",
     "hrv_stream_window_compute_seconds",
     "hrv_stream_governor_decision_seconds",
@@ -642,22 +630,17 @@ const STAGE_FAMILIES: [&str; 8] = [
 /// Builds the `ReadHealth` snapshot: one burn-rate evaluation tick plus
 /// point-in-time stage, stream and slow-request views.
 ///
-/// Lock order: the fleet lock is taken (for stream reports) and released
-/// before the health lock — the two never nest, and the session lock is
-/// only taken by `queue_depths` on its own.
+/// The session lock is taken (for stream reports) and released before
+/// the health lock — the two never nest.
 fn read_health(shared: &Shared) -> HealthSnapshot {
-    let reports = {
-        let fleet = lock_unpoisoned(&shared.fleet);
-        fleet.stream_reports()
-    };
-    let depths: BTreeMap<u64, u32> = shared.sessions.queue_depths().into_iter().collect();
+    let reports = lock_unpoisoned(&shared.sessions).fleet.stream_reports();
     let streams = reports
         .into_iter()
         .map(|report| StreamHealth {
             id: report.id as u64,
             windows: report.windows,
             energy_j: report.energy_j,
-            queue_depth: depths.get(&(report.id as u64)).copied().unwrap_or(0),
+            queue_depth: 0,
             backend: report.backend,
         })
         .collect();
@@ -701,158 +684,16 @@ fn read_health(shared: &Shared) -> HealthSnapshot {
     }
 }
 
-/// Serves `ReadEvents`: drains the stream's queued samples first (so
-/// journalled fleet events reflect everything the client already
-/// pushed), then concatenates the session journal (admissions, Busy
-/// refusals) with the fleet journal (quality switches, budget/battery
-/// edges, drain). Each journal keeps its own sequence space.
-fn read_events(shared: &Shared, stream: u64) -> Result<Vec<EventRecord>, ServiceError> {
-    let fleet_events = {
-        let mut fleet = lock_unpoisoned(&shared.fleet);
-        drain_session(shared, &mut fleet, stream, usize::MAX, &mut Vec::new());
-        fleet.stream_events(stream as usize)
-    };
-    let mut events = shared.sessions.events(stream)?;
-    events.extend(fleet_events.map_err(ServiceError::from)?);
-    Ok(events)
-}
-
-/// Session + fleet admission as one atomic step **under the fleet
-/// lock** (fleet → session, the drain lock order). Holding the fleet
-/// lock across both registrations upholds the drain invariant — a
-/// session visible to any drainer always has its fleet stream — and
-/// closes two races: a concurrent push landing between the two
-/// registrations being drained into a not-yet-open fleet stream, and
-/// the pump's final drain running between them during shutdown.
-fn open_stream(shared: &Shared, stream: u64) -> Result<(), ServiceError> {
-    let mut fleet = lock_unpoisoned(&shared.fleet);
-    if shared.state.load(Ordering::SeqCst) != STATE_RUNNING {
-        return Err(ServiceError::ShuttingDown);
-    }
-    shared.sessions.open(stream)?;
-    if let Err(err) = fleet.open_stream(stream as usize) {
-        let _ = shared.sessions.close(stream);
-        return Err(err.into());
-    }
-    Ok(())
-}
-
-/// Removes the session (atomically, so no later push can race), flushes
-/// its leftovers into the fleet, and closes the fleet stream.
-fn close_stream(shared: &Shared, stream: u64) -> Result<StreamReport, ServiceError> {
-    let mut fleet = lock_unpoisoned(&shared.fleet);
-    let leftovers = shared.sessions.close(stream)?;
-    fleet
-        .push_rr_batch(stream as usize, &leftovers)
-        .map_err(ServiceError::from)?;
-    fleet
-        .close_stream(stream as usize)
-        .map_err(ServiceError::from)
-}
-
-/// Moves up to `max` queued samples of one session into the fleet,
-/// staging them in `batch` (cleared here; pass a reusable buffer on hot
-/// paths). The caller holds the fleet lock, so concurrent drainers
-/// cannot reorder a stream's samples. Returns the number moved.
-///
-/// Dispatch is timed here — histogram + `pump_dispatch` span — rather
-/// than in the pump loop, because read-style requests (`ReadReport`,
-/// `SetQuality`, …) drain inline on reactor shards for read-your-writes
-/// semantics; whichever thread moves the samples owns the latency.
-/// Empty drains cancel the span so idle pump sweeps don't dominate
-/// traces.
-fn drain_session(
-    shared: &Shared,
-    fleet: &mut FleetScheduler,
-    stream: u64,
-    max: usize,
-    batch: &mut Vec<(f64, f64)>,
-) -> usize {
-    let span = shared.tracer.span("pump_dispatch");
-    let started = Instant::now();
-    batch.clear();
-    let n = shared.sessions.take_batch(stream, max, batch);
-    if n > 0 {
-        // Invariant: a queued sample implies its fleet stream exists —
-        // both are registered and removed under the fleet lock the
-        // caller holds. The gate count is ignored deliberately (the
-        // fleet's ingest re-checks the same rules that admitted the
-        // samples); a missing stream, by contrast, would be silent data
-        // loss and must fail loudly.
-        fleet
-            .push_rr_batch(stream as usize, batch)
-            // analyze::allow(panic-free-wire): a missing stream here is silent data loss — registration and removal both happen under the fleet lock this caller holds, so this is unreachable without memory corruption
-            .expect("queued samples for a stream absent from the fleet");
-        shared
-            .pump_dispatch_hist
-            .observe_duration(started.elapsed());
-    } else {
-        span.cancel();
-    }
-    n
-}
-
-/// Moves STATE to DONE even when the pump unwinds — and wakes the
-/// reactor shards so parked Shutdown waiters observe the failure
-/// instead of sleeping until their next timeout tick.
-struct PumpDoneGuard<'a>(&'a Shared);
-
-impl Drop for PumpDoneGuard<'_> {
-    fn drop(&mut self) {
-        self.0.state.store(STATE_DONE, Ordering::SeqCst);
-        self.0.wake_shards();
-    }
-}
-
-/// The analysis pump: moves queued samples into the fleet while the
-/// gateway runs, then performs the shutdown drain.
-fn pump_loop(shared: &Arc<Shared>, drain_batch: usize, idle: Duration) {
-    let done_guard = PumpDoneGuard(shared);
-    let mut batch = Vec::with_capacity(drain_batch);
-    loop {
-        let state = shared.state.load(Ordering::SeqCst);
-        let mut moved = 0usize;
-        {
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            for id in shared.sessions.ids() {
-                moved += drain_session(shared, &mut fleet, id, drain_batch, &mut batch);
-            }
-        }
-        if state == STATE_DRAINING && moved == 0 {
-            // `STATE_DRAINING` was visible before this (empty) sweep, so
-            // every admission since has been refused and every queue is
-            // drained: the fleet now holds all samples that will ever
-            // arrive. Flush trailing windows, publish final telemetry
-            // (before `close_all` empties the fleet), then take reports.
-            let mut fleet = lock_unpoisoned(&shared.fleet);
-            fleet.finish();
-            fleet.report().publish(&shared.telemetry);
-            fleet.kernel_cache().publish(&shared.telemetry);
-            let reports = fleet.close_all();
-            shared.sessions.close_all();
-            *lock_unpoisoned(&shared.final_reports) = Some(reports);
-            // The guard flips STATE to DONE and wakes the shards — here
-            // on the normal path, and equally during unwind if anything
-            // above panicked.
-            drop(done_guard);
-            return;
-        }
-        if moved == 0 {
-            thread::sleep(idle);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hrv_core::AlertState;
     use hrv_stream::StreamEvent;
 
-    /// A loopback gateway with a queue so small that any oversized push
-    /// is refused `Busy` regardless of pump timing — the deterministic
-    /// overload used by the alerting tests.
-    fn tiny_queue_gateway() -> GatewayHandle {
+    /// A loopback gateway with a per-push bound so small that any
+    /// oversized push is refused `Busy` — the deterministic overload used
+    /// by the alerting tests.
+    fn tiny_bound_gateway() -> GatewayHandle {
         Gateway::start(GatewayConfig {
             session: SessionConfig {
                 max_sessions: 8,
@@ -865,11 +706,10 @@ mod tests {
 
     #[test]
     fn sustained_busy_burn_pages_at_a_deterministic_tick() {
-        let handle = tiny_queue_gateway();
+        let handle = tiny_bound_gateway();
         let mut client = handle.client().expect("client");
         client.open_stream(1).expect("open");
-        // Each round: one guaranteed-Busy push (batch > queue capacity,
-        // so admission refuses it no matter how fast the pump drains)
+        // Each round: one guaranteed-Busy push (batch > per-push bound)
         // followed by one health tick. The bad/total frame ratio per
         // round is then exactly 1/2 — far past the page threshold —
         // and the dwell machine pages on the third tick, every run.
@@ -902,7 +742,7 @@ mod tests {
 
     #[test]
     fn health_snapshot_carries_streams_stages_and_catalog() {
-        let handle = tiny_queue_gateway();
+        let handle = tiny_bound_gateway();
         let mut client = handle.client().expect("client");
         client.open_stream(3).expect("open");
         client.push_rr(3, &[(0.8, 0.8), (1.6, 0.8)]).expect("push");
@@ -927,7 +767,7 @@ mod tests {
 
     #[test]
     fn event_journals_travel_over_the_wire() {
-        let handle = tiny_queue_gateway();
+        let handle = tiny_bound_gateway();
         let mut client = handle.client().expect("client");
         client.open_stream(1).expect("open");
         client.push_rr(1, &[(0.8, 0.8), (1.6, 0.8)]).expect("push");

@@ -11,28 +11,27 @@
 //!   ([`FrameReader`]);
 //! * [`proto`] — the typed message layer ([`Request`] / [`Reply`],
 //!   version-negotiated, floats carried bit-exactly);
-//! * [`session`] — admission control ([`SessionConfig`]: max sessions,
-//!   delineate-rule plausibility gating) and bounded per-session queues
-//!   whose overflow answer is a typed `Busy`, never unbounded growth;
+//! * [`session`] — admission control ([`SessionConfig`]: max sessions
+//!   and a per-push sample bound whose overflow answer is a typed
+//!   `Busy`) and the one lock around the session registry and the fleet;
 //! * [`reactor`] — the readiness-driven connection layer: N epoll
 //!   event-loop shards (edge-triggered reads, vectored buffered writes
 //!   with per-connection backpressure), with the raw syscall surface
 //!   confined to [`reactor::sys`] the same way `hrv-dsp` confines its
 //!   SIMD intrinsics;
-//! * [`gateway`] — the reactor shards and analysis pump around an
-//!   external-ingest [`hrv_stream::FleetScheduler`] (kernels from the
-//!   shared `hrv-core` execution layer), with graceful shutdown that
-//!   drains every session and emits final per-stream reports id-ordered
-//!   and bit-identical to an equivalent offline fleet run over the same
-//!   plausibility-clean samples (samples the admission gate rejects are
-//!   counted per push and in telemetry, not in the fleet's ingest
-//!   stats);
+//! * [`gateway`] — the reactor shards around an external-ingest
+//!   [`hrv_stream::FleetScheduler`] (kernels from the shared `hrv-core`
+//!   execution layer): each push is gated by the fleet's ingest and its
+//!   windows computed before the reply, and graceful shutdown drains
+//!   every session into final per-stream reports id-ordered and
+//!   bit-identical to an equivalent offline fleet run over the same
+//!   samples;
 //! * [`client`] — the blocking [`ServiceClient`] used by examples, the
 //!   `loadgen` bench and the loopback tests.
 //!
 //! Observability flows through one [`hrv_core::Telemetry`] registry
-//! (kernel-cache builds/hits, fleet throughput, per-session queue
-//! depths), rendered in the Prometheus text format either in-process or
+//! (kernel-cache builds/hits, fleet throughput, per-stage latency; no
+//! per-stream series, so its size does not grow with sessions), rendered in the Prometheus text format either in-process or
 //! over the wire via `ReadMetrics`.
 //!
 //! # Examples

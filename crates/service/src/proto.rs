@@ -146,7 +146,7 @@ pub enum Reply {
         /// The opened stream.
         stream: u64,
     },
-    /// A push was (partially) admitted into the session queue.
+    /// A push was fed to the fleet and its windows computed.
     Pushed(Pushed),
     /// A point-in-time per-stream report.
     Report(StreamReport),
@@ -195,12 +195,12 @@ pub enum Reply {
 pub struct Pushed {
     /// The pushed stream.
     pub stream: u64,
-    /// Samples admitted into the session queue.
+    /// Samples accepted by the fleet's ingest gate.
     pub accepted: u32,
-    /// Samples rejected by the admission plausibility gate (delineate
-    /// rules: interval bounds, monotone time).
+    /// Samples rejected by that gate (delineate rules: interval bounds,
+    /// monotone time).
     pub gated: u32,
-    /// Queue depth after the push.
+    /// Always 0 (kept for the v3 layout): nothing queues behind a push.
     pub queue_depth: u32,
 }
 
@@ -229,7 +229,8 @@ pub struct StreamHealth {
     pub windows: u64,
     /// Modelled energy spent so far.
     pub energy_j: f64,
-    /// Session queue depth at snapshot time.
+    /// Always 0 (kept for the v3 layout): pushes are analysed before
+    /// they are answered, so nothing queues.
     pub queue_depth: u32,
     /// Name of the active kernel.
     pub backend: String,

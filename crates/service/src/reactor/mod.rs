@@ -13,16 +13,18 @@
 //! event flushes the connection's queued reply frames with vectored
 //! writes until the socket would block.
 //!
-//! Backpressure composes in two layers: the session table's bounded
-//! queues still answer overload with a typed `Busy` (admission), and a
+//! A shard serves each frame to completion, pushes included: the
+//! windows a push completes are computed on the shard before its reply
+//! is queued. Backpressure composes in two layers: a push above the
+//! per-push bound is refused with a typed `Busy` (admission), and a
 //! connection whose *outbound* queue exceeds the configured write budget
 //! stops being read until the kernel accepts the backlog — so a client
 //! that stops reading its replies cannot grow gateway memory without
 //! bound, it just stops being served.
 //!
 //! Shutdown is event-driven, not timed: a `Shutdown` request parks its
-//! connection (`ServeOutcome::ShutdownPending`); when the pump has
-//! published the final reports it wakes every shard, and the shard
+//! connection (`ServeOutcome::ShutdownPending`); once the drain has
+//! published the final reports every shard is woken, and the shard
 //! epilogue answers each parked connection with the `ShutdownAck`,
 //! flushes, and tears down. The drain-report invariant (id-ordered,
 //! bit-identical to an offline fleet run) is untouched — the reactor
@@ -75,7 +77,7 @@ pub(crate) trait ShardService: Send + Sync + 'static {
     /// Serves one decoded frame body; `handshaken` is the connection's
     /// Hello state, owned by the reactor.
     fn serve(&self, handshaken: &mut bool, body: &[u8]) -> ServeOutcome;
-    /// The encoded `ShutdownAck` once the pump has published the final
+    /// The encoded `ShutdownAck` once the drain has published the final
     /// reports (`None` while the drain is still running).
     fn shutdown_reply(&self) -> Option<Vec<u8>>;
     /// Current gateway state (`STATE_RUNNING` / `STATE_DRAINING` /
@@ -504,11 +506,13 @@ impl Shard {
         loop {
             match conn.reader.poll(&mut conn.stream) {
                 Ok(FramePoll::Frame(body)) => {
-                    let now = Instant::now();
-                    service.on_frame_read(conn.busy + now.duration_since(pass));
+                    service.on_frame_read(conn.busy + pass.elapsed());
                     conn.busy = Duration::ZERO;
-                    pass = now;
-                    match service.serve(&mut conn.handshaken, &body) {
+                    let outcome = service.serve(&mut conn.handshaken, &body);
+                    // Serving (a push's window compute included) is timed
+                    // by its own stages; the next frame's read starts now.
+                    pass = Instant::now();
+                    match outcome {
                         ServeOutcome::Reply(reply) => conn.out.push_frame(&reply),
                         ServeOutcome::ShutdownPending => {
                             conn.awaiting_shutdown = true;
@@ -613,9 +617,9 @@ impl Shard {
     /// shard has nothing left to do.
     ///
     /// * Drops the listener (stop admitting) on the first pass.
-    /// * Answers parked `Shutdown` connections the moment the pump
-    ///   publishes the final reports (typed error instead if the pump
-    ///   died — its scope guard still moves the state to `STATE_DONE`).
+    /// * Answers parked `Shutdown` connections the moment the drain
+    ///   publishes the final reports (typed error instead if the drain
+    ///   unwound — its scope guard still moves the state to `STATE_DONE`).
     /// * At `STATE_DONE`, flushes every connection and closes it, with a
     ///   bounded grace window for peers slow to drain their socket.
     // analyze::reactor
@@ -634,7 +638,7 @@ impl Shard {
                 Some(ack) => Some(ack),
                 None if service.state() == STATE_DONE => Some(
                     Reply::Error(ServiceError::Io(
-                        "gateway pump failed before publishing final reports".into(),
+                        "gateway drain failed before publishing final reports".into(),
                     ))
                     .encode(),
                 ),

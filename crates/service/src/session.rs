@@ -1,32 +1,35 @@
-//! Session admission, bounded queues and backpressure.
+//! Session admission and the one lock around the analysis state.
 //!
-//! A *session* is the gateway-side state of one open stream: a bounded
-//! queue of clean `(beat time, RR)` samples awaiting the analysis pump,
-//! plus the admission gate that keeps implausible data out of the queue
-//! in the first place. The gate reuses `hrv-delineate`'s plausibility
-//! rules ([`hrv_delineate::MIN_RR`]/[`hrv_delineate::MAX_RR`] interval
-//! bounds, monotone beat time; raw
-//! beats go through the same [`StreamingRrFilter`] the batch delineator
-//! uses), so a byte that costs queue space has already passed the same
-//! physiology checks the analysis layer would apply.
+//! A *session* is the gateway-side registration of one open stream: its
+//! admission journal (push batches and `Busy` refusals). The
+//! `SessionTable` owns every session **and** the external-ingest
+//! [`FleetScheduler`] that analyses them, so the gateway guards both
+//! with a single mutex: a session visible to a request always has its
+//! fleet stream, and no lock order exists to get wrong.
 //!
-//! Backpressure is strict: a batch that does not fit the remaining queue
-//! capacity is refused whole with [`ServiceError::Busy`] — the queue
-//! never grows past its bound, whatever a client sends.
+//! A push is analysed when it lands: the batch goes straight into the
+//! fleet, whose [`hrv_stream::RrIngest`] is the one plausibility gate
+//! (`hrv-delineate`'s interval bounds, monotone beat time) and the one
+//! buffer, and every window the batch completes is computed before the
+//! push is answered. Backpressure is a bound on the work one push can
+//! buy: a batch longer than [`SessionConfig::queue_capacity`] samples is
+//! refused whole with [`ServiceError::Busy`] — it leaves no state behind,
+//! and the same samples succeed in smaller batches.
 
 use crate::error::ServiceError;
 use crate::proto::Pushed;
-use hrv_core::{lock_unpoisoned, Counter, Gauge, Histogram, Telemetry};
-use hrv_delineate::{BeatOutcome, StreamingRrFilter};
-use hrv_stream::{EventJournal, EventRecord, StreamEvent, EVENT_JOURNAL_CAPACITY};
-use std::collections::{BTreeMap, VecDeque};
+use hrv_core::{Counter, Gauge, Histogram, PsaError, Telemetry, Tracer};
+use hrv_stream::{
+    EventJournal, EventRecord, FleetScheduler, StreamEvent, StreamReport, EVENT_JOURNAL_CAPACITY,
+};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Gateway lifecycle: accepting work.
 pub(crate) const STATE_RUNNING: u8 = 0;
-/// Gateway lifecycle: draining queues; no new work admitted.
+/// Gateway lifecycle: draining; no new work admitted.
 pub(crate) const STATE_DRAINING: u8 = 1;
 /// Gateway lifecycle: drained; final reports published.
 pub(crate) const STATE_DONE: u8 = 2;
@@ -36,8 +39,9 @@ pub(crate) const STATE_DONE: u8 = 2;
 pub struct SessionConfig {
     /// Maximum concurrently open sessions.
     pub max_sessions: usize,
-    /// Bounded per-session queue capacity in samples; a push that does
-    /// not fit draws [`ServiceError::Busy`].
+    /// Maximum samples (or beats) per push; a longer batch draws
+    /// [`ServiceError::Busy`]. It bounds how long one push can hold the
+    /// analysis lock.
     pub queue_capacity: usize,
 }
 
@@ -50,76 +54,61 @@ impl Default for SessionConfig {
     }
 }
 
-/// One open stream's gateway-side state.
-#[derive(Debug)]
-struct Session {
-    queue: VecDeque<(f64, f64)>,
-    /// Converts raw beat times to gated RR intervals (`PushBeats` path).
-    beats: StreamingRrFilter,
-    /// Last admitted beat time (`PushRr` path monotonicity gate).
-    last_time: Option<f64>,
-    depth_gauge: Gauge,
-    /// When the queue's current head sample started waiting — armed on
-    /// the empty→non-empty transition, observed into the queue-wait
-    /// histogram each time the pump drains, re-armed while samples
-    /// remain. `None` while the queue is empty.
-    queued_since: Option<Instant>,
-    /// Gateway-side forensics ring: admission batches and Busy
-    /// refusals (the fleet keeps the analysis-side journal).
-    journal: EventJournal,
-}
-
-/// The admission-controlled session store; see the module docs.
+/// The session registry plus the fleet it feeds; see the module docs.
 ///
-/// All methods take `&self`; the table is internally locked and is the
-/// single place where "is the gateway still admitting work?" is decided
-/// (the check happens under the same lock as the queue append, so the
-/// drain pass that follows `STATE_DRAINING` cannot miss samples).
+/// The gateway keeps it behind one mutex. "Is the gateway still
+/// admitting work?" is decided under that lock, so once the drain holds
+/// it after `STATE_DRAINING`, no sample can reach the fleet any more.
 #[derive(Debug)]
 pub(crate) struct SessionTable {
+    /// The analysis side: one external-ingest stream per session.
+    pub(crate) fleet: FleetScheduler,
     config: SessionConfig,
     state: Arc<AtomicU8>,
-    telemetry: Telemetry,
-    inner: Mutex<BTreeMap<u64, Session>>,
+    /// Per-session admission journal: push batches and Busy refusals
+    /// (the fleet keeps the analysis-side journal).
+    journals: BTreeMap<u64, EventJournal>,
+    tracer: Tracer,
     open_gauge: Gauge,
     accepted_total: Counter,
     gated_total: Counter,
     busy_total: Counter,
-    /// `hrv_service_queue_wait_seconds` — head-of-line wait between a
-    /// sample entering an empty queue (or surviving a previous drain)
-    /// and the pump picking it up.
-    queue_wait_hist: Histogram,
+    /// `hrv_service_pump_dispatch_seconds` — one push's inline fleet
+    /// call, window compute included.
+    dispatch_hist: Histogram,
 }
 
 impl SessionTable {
-    pub(crate) fn new(config: SessionConfig, telemetry: Telemetry, state: Arc<AtomicU8>) -> Self {
-        let open_gauge = telemetry.gauge("hrv_service_sessions_open", "currently open sessions");
-        let accepted_total = telemetry.counter(
-            "hrv_service_samples_admitted_total",
-            "samples admitted into session queues",
-        );
-        let gated_total = telemetry.counter(
-            "hrv_service_samples_gated_total",
-            "samples rejected by the admission plausibility gate",
-        );
-        let busy_total = telemetry.counter(
-            "hrv_service_busy_total",
-            "pushes refused with Busy (queue backpressure)",
-        );
-        let queue_wait_hist = telemetry.histogram(
-            "hrv_service_queue_wait_seconds",
-            "head-of-line wait of queued samples until the analysis pump drains them",
-        );
+    pub(crate) fn new(
+        fleet: FleetScheduler,
+        config: SessionConfig,
+        telemetry: &Telemetry,
+        tracer: Tracer,
+        state: Arc<AtomicU8>,
+    ) -> Self {
         SessionTable {
+            fleet,
             config,
             state,
-            telemetry,
-            inner: Mutex::new(BTreeMap::new()),
-            open_gauge,
-            accepted_total,
-            gated_total,
-            busy_total,
-            queue_wait_hist,
+            journals: BTreeMap::new(),
+            tracer,
+            open_gauge: telemetry.gauge("hrv_service_sessions_open", "currently open sessions"),
+            accepted_total: telemetry.counter(
+                "hrv_service_samples_admitted_total",
+                "samples accepted by the ingest plausibility gate",
+            ),
+            gated_total: telemetry.counter(
+                "hrv_service_samples_gated_total",
+                "samples rejected by the ingest plausibility gate",
+            ),
+            busy_total: telemetry.counter(
+                "hrv_service_busy_total",
+                "pushes refused with Busy (batch above the per-push bound)",
+            ),
+            dispatch_hist: telemetry.histogram(
+                "hrv_service_pump_dispatch_seconds",
+                "one push fed into the fleet, the windows it completed computed",
+            ),
         }
     }
 
@@ -131,247 +120,162 @@ impl SessionTable {
         }
     }
 
-    /// Admits a new session.
-    pub(crate) fn open(&self, id: u64) -> Result<(), ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
+    /// Admits a new session and opens its fleet stream.
+    pub(crate) fn open(&mut self, id: u64) -> Result<(), ServiceError> {
         self.admitting()?;
-        if sessions.contains_key(&id) {
+        if self.journals.contains_key(&id) {
             return Err(ServiceError::DuplicateStream(id));
         }
-        if sessions.len() >= self.config.max_sessions {
+        if self.journals.len() >= self.config.max_sessions {
             return Err(ServiceError::SessionLimit {
                 max: self.config.max_sessions as u32,
             });
         }
-        let depth_gauge = self.depth_gauge(id);
-        depth_gauge.set(0.0);
-        sessions.insert(
-            id,
-            Session {
-                queue: VecDeque::with_capacity(self.config.queue_capacity.min(1024)),
-                beats: StreamingRrFilter::new(),
-                last_time: None,
-                depth_gauge,
-                queued_since: None,
-                journal: EventJournal::new(EVENT_JOURNAL_CAPACITY),
-            },
-        );
-        self.open_gauge.set(sessions.len() as f64);
+        self.fleet.open_stream(id as usize)?;
+        self.journals
+            .insert(id, EventJournal::new(EVENT_JOURNAL_CAPACITY));
+        self.open_gauge.set(self.journals.len() as f64);
         Ok(())
     }
 
-    fn depth_gauge(&self, id: u64) -> Gauge {
-        self.telemetry.gauge_with(
-            "hrv_session_queue_depth",
-            "buffered samples awaiting the analysis pump",
-            &[("stream", &id.to_string())],
-        )
-    }
-
-    /// `(beat time, RR)` batch admission: plausibility-gate every sample,
-    /// refuse the batch with `Busy` when the admissible part does not fit
-    /// the queue, else append it.
-    pub(crate) fn push_rr(&self, id: u64, samples: &[(f64, f64)]) -> Result<Pushed, ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
-        self.admitting()?;
-        let session = sessions
-            .get_mut(&id)
-            .ok_or(ServiceError::UnknownStream(id))?;
-        // Pass 1 (pure): how many samples would the gate admit?
-        let mut admissible = 0usize;
-        let mut last = session.last_time;
-        for &(t, rr) in samples {
-            if plausible_rr(t, rr, last) {
-                admissible += 1;
-                last = Some(t);
-            }
-        }
-        self.check_capacity(id, session, admissible)?;
-        // Pass 2: apply — same deterministic gate, now mutating.
-        let mut accepted = 0u32;
-        for &(t, rr) in samples {
-            if plausible_rr(t, rr, session.last_time) {
-                session.queue.push_back((t, rr));
-                session.last_time = Some(t);
-                accepted += 1;
-            }
-        }
-        debug_assert_eq!(accepted as usize, admissible);
-        if accepted > 0 && session.queued_since.is_none() {
-            session.queued_since = Some(Instant::now());
-        }
-        Ok(self.pushed(id, session, accepted, samples.len() as u32 - accepted))
-    }
-
-    /// Raw beat-time batch admission (delineate's [`StreamingRrFilter`]).
-    /// Capacity is checked against the worst case (every beat completing
-    /// an interval) before the stateful filter runs, so a `Busy` refusal
-    /// leaves the filter chain untouched and the retried batch replays
-    /// identically.
-    pub(crate) fn push_beats(&self, id: u64, beats: &[f64]) -> Result<Pushed, ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
-        self.admitting()?;
-        let session = sessions
-            .get_mut(&id)
-            .ok_or(ServiceError::UnknownStream(id))?;
-        self.check_capacity(id, session, beats.len())?;
-        let mut accepted = 0u32;
-        for &t in beats {
-            if let BeatOutcome::Accepted { time, rr } = session.beats.push(t) {
-                // The beat filter knows nothing of samples admitted via
-                // `PushRr` — re-apply the session-wide monotonicity gate
-                // so mixing the two paths cannot enqueue out-of-order
-                // samples (the queue invariant the fleet relies on).
-                if session.last_time.is_some_and(|l| time <= l) {
-                    continue;
-                }
-                session.queue.push_back((time, rr));
-                session.last_time = Some(time);
-                accepted += 1;
-            }
-        }
-        if accepted > 0 && session.queued_since.is_none() {
-            session.queued_since = Some(Instant::now());
-        }
-        Ok(self.pushed(id, session, accepted, beats.len() as u32 - accepted))
-    }
-
-    fn check_capacity(
-        &self,
+    /// `(beat time, RR)` batch: gated by the fleet's ingest, windows
+    /// computed before this returns.
+    pub(crate) fn push_rr(
+        &mut self,
         id: u64,
-        session: &mut Session,
-        incoming: usize,
-    ) -> Result<(), ServiceError> {
-        if session.queue.len() + incoming > self.config.queue_capacity {
+        samples: &[(f64, f64)],
+    ) -> Result<Pushed, ServiceError> {
+        self.push(id, samples.len(), |fleet| {
+            fleet.push_rr_batch(id as usize, samples)
+        })
+    }
+
+    /// Raw beat-time batch, through the ingest's delineate filter.
+    pub(crate) fn push_beats(&mut self, id: u64, beats: &[f64]) -> Result<Pushed, ServiceError> {
+        self.push(id, beats.len(), |fleet| {
+            beats.iter().try_fold(0, |accepted, &t| {
+                Ok(accepted + usize::from(fleet.push_beat(id as usize, t)?))
+            })
+        })
+    }
+
+    /// Admission, then the inline fleet call (timed and spanned as the
+    /// dispatch stage), then the push's accounting.
+    fn push(
+        &mut self,
+        id: u64,
+        len: usize,
+        feed: impl FnOnce(&mut FleetScheduler) -> Result<usize, PsaError>,
+    ) -> Result<Pushed, ServiceError> {
+        self.admitting()?;
+        let journal = self
+            .journals
+            .get_mut(&id)
+            .ok_or(ServiceError::UnknownStream(id))?;
+        let capacity = self.config.queue_capacity as u32;
+        if len > self.config.queue_capacity {
             self.busy_total.inc();
-            session.journal.record(
+            journal.record(
                 0,
                 StreamEvent::BusyRefusal {
-                    queue_depth: session.queue.len() as u32,
-                    capacity: self.config.queue_capacity as u32,
+                    queue_depth: 0,
+                    capacity,
                 },
             );
             return Err(ServiceError::Busy {
                 stream: id,
-                capacity: self.config.queue_capacity as u32,
+                capacity,
             });
         }
-        Ok(())
-    }
-
-    fn pushed(&self, id: u64, session: &mut Session, accepted: u32, gated: u32) -> Pushed {
+        let accepted = {
+            let _span = self.tracer.span("push_dispatch");
+            let started = Instant::now();
+            let accepted = feed(&mut self.fleet)? as u32;
+            self.dispatch_hist.observe_duration(started.elapsed());
+            accepted
+        };
+        let gated = len as u32 - accepted;
         self.accepted_total.add(u64::from(accepted));
         self.gated_total.add(u64::from(gated));
-        session.depth_gauge.set(session.queue.len() as f64);
-        session
-            .journal
-            .record(0, StreamEvent::Admission { accepted, gated });
-        Pushed {
+        journal.record(0, StreamEvent::Admission { accepted, gated });
+        Ok(Pushed {
             stream: id,
             accepted,
             gated,
-            queue_depth: session.queue.len() as u32,
-        }
+            queue_depth: 0,
+        })
     }
 
-    /// The gateway-side event journal of session `id`, oldest first.
+    /// Session `id`'s admission journal followed by its fleet journal,
+    /// oldest first; each keeps its own sequence space.
     pub(crate) fn events(&self, id: u64) -> Result<Vec<EventRecord>, ServiceError> {
-        let sessions = lock_unpoisoned(&self.inner);
-        let session = sessions.get(&id).ok_or(ServiceError::UnknownStream(id))?;
-        Ok(session.journal.events())
+        let journal = self
+            .journals
+            .get(&id)
+            .ok_or(ServiceError::UnknownStream(id))?;
+        let mut events = journal.events();
+        events.extend(self.fleet.stream_events(id as usize)?);
+        Ok(events)
     }
 
-    /// Open session ids, ascending.
-    pub(crate) fn ids(&self) -> Vec<u64> {
-        lock_unpoisoned(&self.inner).keys().copied().collect()
-    }
-
-    /// `(id, queue depth)` of every open session, id-ascending.
-    pub(crate) fn queue_depths(&self) -> Vec<(u64, u32)> {
-        lock_unpoisoned(&self.inner)
-            .iter()
-            .map(|(&id, session)| (id, session.queue.len() as u32))
-            .collect()
-    }
-
-    /// Moves up to `max` queued samples of session `id` into `out`.
-    /// Returns the number moved (0 for an unknown/empty session).
-    pub(crate) fn take_batch(&self, id: u64, max: usize, out: &mut Vec<(f64, f64)>) -> usize {
-        let mut sessions = lock_unpoisoned(&self.inner);
-        let Some(session) = sessions.get_mut(&id) else {
-            return 0;
-        };
-        let n = session.queue.len().min(max);
-        out.extend(session.queue.drain(..n));
-        session.depth_gauge.set(session.queue.len() as f64);
-        if n > 0 {
-            if let Some(since) = session.queued_since.take() {
-                self.queue_wait_hist.observe_duration(since.elapsed());
-            }
-            if !session.queue.is_empty() {
-                // Samples survived the drain — the new head starts its
-                // wait now (per-dispatch head-of-line wait, not age).
-                session.queued_since = Some(Instant::now());
-            }
-        }
-        n
-    }
-
-    /// Removes every session (shutdown epilogue: queues are already
-    /// drained) and retires their telemetry series.
-    pub(crate) fn close_all(&self) {
-        let mut sessions = lock_unpoisoned(&self.inner);
-        for id in sessions.keys() {
-            self.telemetry
-                .remove_series("hrv_session_queue_depth", &[("stream", &id.to_string())]);
-        }
-        sessions.clear();
-        self.open_gauge.set(0.0);
-    }
-
-    /// Removes session `id`, returning whatever was still queued (the
-    /// caller flushes it into the fleet before closing the stream there).
-    pub(crate) fn close(&self, id: u64) -> Result<Vec<(f64, f64)>, ServiceError> {
-        let mut sessions = lock_unpoisoned(&self.inner);
-        let session = sessions
+    /// Removes session `id` and closes its fleet stream, flushing the
+    /// trailing windows into the returned final report.
+    pub(crate) fn close(&mut self, id: u64) -> Result<StreamReport, ServiceError> {
+        self.journals
             .remove(&id)
             .ok_or(ServiceError::UnknownStream(id))?;
-        self.open_gauge.set(sessions.len() as f64);
-        self.telemetry
-            .remove_series("hrv_session_queue_depth", &[("stream", &id.to_string())]);
-        Ok(session.queue.into_iter().collect())
+        self.open_gauge.set(self.journals.len() as f64);
+        Ok(self.fleet.close_stream(id as usize)?)
     }
-}
 
-/// The admission gate: [`hrv_stream::rr_sample_plausible`], the *same
-/// predicate* the fleet's [`hrv_stream::RrIngest`] applies downstream —
-/// shared, not copied, so the layers cannot drift and a sample that
-/// costs queue space is always a sample the fleet will accept. The
-/// finite check matters on a network boundary: the wire codec decodes
-/// arbitrary f64 bit patterns, and an admitted NaN beat time would
-/// poison every later ordering comparison.
-fn plausible_rr(t: f64, rr: f64, last: Option<f64>) -> bool {
-    hrv_stream::rr_sample_plausible(t, rr, last)
+    /// The shutdown drain: flushes every stream's trailing windows,
+    /// publishes the final fleet telemetry and returns the id-ordered
+    /// final reports, leaving the table empty.
+    pub(crate) fn close_all(&mut self, telemetry: &Telemetry) -> Vec<StreamReport> {
+        self.fleet.finish();
+        self.publish(telemetry);
+        self.journals.clear();
+        self.open_gauge.set(0.0);
+        self.fleet.close_all()
+    }
+
+    /// Publishes the fleet's throughput and kernel-cache gauges.
+    pub(crate) fn publish(&self, telemetry: &Telemetry) {
+        self.fleet.report().publish(telemetry);
+        self.fleet.kernel_cache().publish(telemetry);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hrv_core::{PsaConfig, SpectralPlan};
 
-    fn table(max_sessions: usize, queue_capacity: usize) -> SessionTable {
+    fn table_in(state: Arc<AtomicU8>, max_sessions: usize, queue_capacity: usize) -> SessionTable {
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("plan");
         SessionTable::new(
+            FleetScheduler::external(plan, 1).expect("fleet"),
             SessionConfig {
                 max_sessions,
                 queue_capacity,
             },
-            Telemetry::new(),
+            &Telemetry::new(),
+            Tracer::disabled(),
+            state,
+        )
+    }
+
+    fn table(max_sessions: usize, queue_capacity: usize) -> SessionTable {
+        table_in(
             Arc::new(AtomicU8::new(STATE_RUNNING)),
+            max_sessions,
+            queue_capacity,
         )
     }
 
     #[test]
     fn admission_limits_are_enforced() {
-        let table = table(2, 16);
+        let mut table = table(2, 16);
         table.open(1).expect("first");
         table.open(2).expect("second");
         assert_eq!(table.open(1).unwrap_err(), ServiceError::DuplicateStream(1));
@@ -379,16 +283,17 @@ mod tests {
             table.open(3).unwrap_err(),
             ServiceError::SessionLimit { max: 2 }
         );
-        assert_eq!(table.ids().len(), 2);
+        assert_eq!(table.fleet.streams(), 2);
         // Closing frees a slot.
         table.close(1).expect("close");
         table.open(3).expect("freed slot");
-        assert_eq!(table.ids(), vec![2, 3]);
+        let ids: Vec<usize> = table.fleet.stream_reports().iter().map(|r| r.id).collect();
+        assert_eq!(ids, vec![2, 3]);
     }
 
     #[test]
     fn plausibility_gate_reuses_delineate_rules() {
-        let table = table(4, 16);
+        let mut table = table(4, 16);
         table.open(1).expect("open");
         let outcome = table
             .push_rr(
@@ -403,12 +308,15 @@ mod tests {
             )
             .expect("admitted");
         assert_eq!((outcome.accepted, outcome.gated), (2, 3));
-        assert_eq!(outcome.queue_depth, 2);
+        assert_eq!(outcome.queue_depth, 0, "nothing queues: the fleet ingested");
+        let ingest = table.fleet.stream_report(1).expect("report").ingest;
+        assert_eq!(ingest.accepted, 2);
+        assert_eq!(ingest.rejected_out_of_order, 1);
     }
 
     #[test]
     fn non_finite_wire_values_are_gated_and_do_not_poison_the_session() {
-        let table = table(4, 16);
+        let mut table = table(4, 16);
         table.open(1).expect("open");
         let outcome = table
             .push_rr(
@@ -431,41 +339,21 @@ mod tests {
 
     #[test]
     fn beats_are_converted_and_gated_like_the_batch_delineator() {
-        let table = table(4, 16);
+        let mut table = table(4, 16);
         table.open(1).expect("open");
         let outcome = table
             .push_beats(1, &[0.0, 0.8, 0.82, 5.0, 5.8])
             .expect("admitted");
         // Anchor, accepted, double detection, dropout, accepted-after-restart.
         assert_eq!((outcome.accepted, outcome.gated), (2, 3));
-        let mut drained = Vec::new();
-        table.take_batch(1, 16, &mut drained);
-        assert_eq!(drained.len(), 2);
-        assert!((drained[0].1 - 0.8).abs() < 1e-12);
+        let ingest = table.fleet.stream_report(1).expect("report").ingest;
+        assert_eq!(ingest.accepted, 2);
+        assert_eq!((ingest.rejected_short, ingest.rejected_dropout), (1, 1));
     }
 
     #[test]
-    fn mixing_rr_and_beat_pushes_keeps_the_queue_monotone() {
-        let table = table(4, 32);
-        table.open(1).expect("open");
-        table
-            .push_rr(1, &[(99.2, 0.8), (100.0, 0.8)])
-            .expect("rr path");
-        // A fresh beat chain starting in the past: its intervals are
-        // plausible in isolation but precede the RR-path samples.
-        let outcome = table.push_beats(1, &[0.0, 0.8, 1.6]).expect("beats");
-        assert_eq!((outcome.accepted, outcome.gated), (0, 3));
-        // A chain continuing past the newest sample is admitted.
-        let outcome = table.push_beats(1, &[100.5, 101.3]).expect("beats");
-        assert_eq!(outcome.accepted, 1); // 100.5 restarts the chain (dropout)
-        let mut drained = Vec::new();
-        table.take_batch(1, 32, &mut drained);
-        assert!(drained.windows(2).all(|w| w[0].0 < w[1].0), "{drained:?}");
-    }
-
-    #[test]
-    fn saturated_queue_refuses_the_whole_batch() {
-        let table = table(4, 4);
+    fn oversized_push_is_refused_whole() {
+        let mut table = table(4, 4);
         table.open(7).expect("open");
         let batch: Vec<(f64, f64)> = (0..6).map(|i| (i as f64 + 1.0, 0.8)).collect();
         assert_eq!(
@@ -475,29 +363,44 @@ mod tests {
                 capacity: 4
             }
         );
-        // Nothing was enqueued — the bound is strict, and the session
-        // state (monotonicity gate) is untouched, so a smaller batch of
-        // the same samples still succeeds.
-        let outcome = table.push_rr(7, &batch[..4]).expect("fits");
-        assert_eq!(outcome.accepted, 4);
-        assert_eq!(outcome.queue_depth, 4);
-        // Full now: even one more sample is refused.
+        // Nothing was ingested — the refusal leaves no state behind, so
+        // the same samples succeed in bound-sized batches, and nothing
+        // accumulates between pushes.
+        assert_eq!(
+            table
+                .fleet
+                .stream_report(7)
+                .expect("report")
+                .ingest
+                .accepted,
+            0
+        );
+        for chunk in batch.chunks(4) {
+            let outcome = table.push_rr(7, chunk).expect("fits");
+            assert_eq!(outcome.accepted as usize, chunk.len());
+        }
         assert!(matches!(
-            table.push_rr(7, &batch[4..5]),
+            table.push_beats(7, &[0.0; 5]),
             Err(ServiceError::Busy { .. })
         ));
-        // Draining makes room again.
-        let mut out = Vec::new();
-        assert_eq!(table.take_batch(7, 2, &mut out), 2);
-        table.push_rr(7, &batch[4..5]).expect("room again");
+        let kinds: Vec<&str> = table
+            .events(7)
+            .expect("events")
+            .iter()
+            .map(|e| e.event.kind())
+            .collect();
+        assert_eq!(
+            kinds,
+            ["busy_refusal", "admission", "admission", "busy_refusal"]
+        );
     }
 
     #[test]
-    fn busy_only_counts_admissible_samples_against_capacity() {
-        let table = table(4, 4);
+    fn per_push_bound_counts_every_wire_sample() {
+        let mut table = table(4, 4);
         table.open(1).expect("open");
-        // 8 samples, but only 4 pass the gate (others are implausible) —
-        // the batch fits.
+        // 8 samples of which only 4 would pass the gate: the bound is
+        // on wire samples (the work a push buys), so the batch is refused.
         let batch: Vec<(f64, f64)> = (0..8)
             .map(|i| {
                 if i % 2 == 0 {
@@ -507,14 +410,18 @@ mod tests {
                 }
             })
             .collect();
-        let outcome = table.push_rr(1, &batch).expect("fits after gating");
-        assert_eq!((outcome.accepted, outcome.gated), (4, 4));
+        assert!(matches!(
+            table.push_rr(1, &batch),
+            Err(ServiceError::Busy { capacity: 4, .. })
+        ));
+        let outcome = table.push_rr(1, &batch[..4]).expect("fits");
+        assert_eq!((outcome.accepted, outcome.gated), (2, 2));
     }
 
     #[test]
     fn draining_state_stops_admission_inside_the_lock() {
         let state = Arc::new(AtomicU8::new(STATE_RUNNING));
-        let table = SessionTable::new(SessionConfig::default(), Telemetry::new(), state.clone());
+        let mut table = table_in(state.clone(), 4, 16);
         table.open(1).expect("open while running");
         state.store(STATE_DRAINING, Ordering::SeqCst);
         assert_eq!(table.open(2).unwrap_err(), ServiceError::ShuttingDown);
@@ -522,28 +429,35 @@ mod tests {
             table.push_rr(1, &[(1.0, 0.8)]).unwrap_err(),
             ServiceError::ShuttingDown
         );
-        // Draining still works.
-        let mut out = Vec::new();
-        assert_eq!(table.take_batch(1, 8, &mut out), 0);
-        assert_eq!(table.close(1).expect("close"), Vec::new());
+        // Closing still works.
+        assert_eq!(table.close(1).expect("close").ingest.accepted, 0);
     }
 
     #[test]
-    fn close_returns_leftovers_and_frees_telemetry() {
+    fn close_frees_the_slot_and_returns_the_final_report() {
         let telemetry = Telemetry::new();
-        let table = SessionTable::new(
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("plan");
+        let mut table = SessionTable::new(
+            FleetScheduler::external(plan, 1).expect("fleet"),
             SessionConfig::default(),
-            telemetry.clone(),
+            &telemetry,
+            Tracer::disabled(),
             Arc::new(AtomicU8::new(STATE_RUNNING)),
         );
         table.open(5).expect("open");
         table.push_rr(5, &[(1.0, 0.8), (2.0, 0.9)]).expect("push");
-        assert!(telemetry
-            .render()
-            .contains("hrv_session_queue_depth{stream=\"5\"} 2"));
-        let leftovers = table.close(5).expect("close");
-        assert_eq!(leftovers, vec![(1.0, 0.8), (2.0, 0.9)]);
-        assert!(!telemetry.render().contains("stream=\"5\""));
+        assert!(telemetry.render().contains("hrv_service_sessions_open 1"));
+        assert!(
+            !telemetry.render().contains("stream=\"5\""),
+            "no per-stream series"
+        );
+        let report = table.close(5).expect("close");
+        assert_eq!((report.id, report.ingest.accepted), (5, 2));
+        assert!(telemetry.render().contains("hrv_service_sessions_open 0"));
         assert_eq!(table.close(5).unwrap_err(), ServiceError::UnknownStream(5));
+        assert_eq!(
+            table.push_rr(5, &[(3.0, 0.8)]).unwrap_err(),
+            ServiceError::UnknownStream(5)
+        );
     }
 }

@@ -1004,8 +1004,8 @@ impl FleetScheduler {
     /// preloaded samples. Streams are opened with
     /// [`FleetScheduler::open_stream`] and fed one sample at a time with
     /// [`FleetScheduler::push_rr`] / [`FleetScheduler::push_beat`] — the
-    /// ingestion path the `hrv-service` gateway drives from its session
-    /// queues. Each pushed sample runs through the same plausibility
+    /// ingestion path the `hrv-service` gateway drives on every wire
+    /// push. Each pushed sample runs through the same plausibility
     /// gate, engine and accounting sink as a preloaded cohort, so
     /// per-stream reports are bit-identical to an offline run over the
     /// same samples.
@@ -1126,8 +1126,8 @@ impl FleetScheduler {
 
     /// Feeds a whole batch of pre-computed RR samples to stream `id` —
     /// one index lookup and one wall-clock measurement for the entire
-    /// batch, so a high-rate feeder (the `hrv-service` pump drains up
-    /// to its whole queue here) does not pay per-sample overhead.
+    /// batch, so a high-rate feeder (the `hrv-service` gateway hands
+    /// each wire push over here) does not pay per-sample overhead.
     /// Samples run through exactly the gate + engine path of
     /// [`FleetScheduler::push_rr`]; returns how many passed the gate.
     ///

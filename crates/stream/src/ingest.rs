@@ -12,11 +12,9 @@ use std::collections::VecDeque;
 
 /// The RR-sample plausibility gate: finite, strictly advancing beat
 /// time and a physiological interval ([`MIN_RR`]`..=`[`MAX_RR`]; NaN
-/// fails the range check). This single predicate is the authority both
-/// [`RrIngest::push_rr`] and `hrv-service`'s session admission apply,
-/// so the two layers cannot drift apart — which the service's
-/// wire-vs-offline bit-identical report guarantee depends on.
-pub fn rr_sample_plausible(t: f64, rr: f64, last_time: Option<f64>) -> bool {
+/// fails the range check). [`RrIngest::push_rr`] applies it to every
+/// sample, whether fed offline or over `hrv-service`'s wire.
+fn rr_sample_plausible(t: f64, rr: f64, last_time: Option<f64>) -> bool {
     t.is_finite() && !last_time.is_some_and(|last| t <= last) && (MIN_RR..=MAX_RR).contains(&rr)
 }
 
@@ -91,6 +89,13 @@ impl RrIngest {
     /// with [`RrIngest::pop`]).
     pub fn push_beat(&mut self, t: f64) -> bool {
         match self.filter.push(t) {
+            // The beat chain knows nothing of samples admitted through
+            // `push_rr`: an interval ending at or before the newest one
+            // would put the ring out of order.
+            BeatOutcome::Accepted { time, .. } if self.last_time.is_some_and(|l| time <= l) => {
+                self.stats.rejected_out_of_order += 1;
+                false
+            }
             BeatOutcome::Accepted { time, rr } => {
                 self.accept(time, rr);
                 true
@@ -113,7 +118,8 @@ impl RrIngest {
 
     /// Pushes a pre-computed RR interval ending at beat time `t`, applying
     /// the same plausibility gates as the beat path
-    /// ([`rr_sample_plausible`]). Returns `true` when the sample was
+    /// (finite, strictly advancing time; interval in
+    /// [`MIN_RR`]`..=`[`MAX_RR`]). Returns `true` when the sample was
     /// accepted into the ring. Non-finite values are rejected outright —
     /// an admitted NaN beat time would otherwise poison every later
     /// ordering comparison.
@@ -230,6 +236,26 @@ mod tests {
         assert_eq!(stats.rejected_out_of_order, 3);
         assert_eq!(stats.rejected_short, 1);
         assert_eq!(stats.rejected_dropout, 1);
+    }
+
+    #[test]
+    fn mixing_rr_and_beat_pushes_keeps_the_ring_monotone() {
+        let mut ingest = RrIngest::new();
+        assert!(ingest.push_rr(99.2, 0.8));
+        assert!(ingest.push_rr(100.0, 0.8));
+        // A fresh beat chain starting in the past: its intervals are
+        // plausible in isolation but precede the RR-path samples.
+        for t in [0.0, 0.8, 1.6] {
+            assert!(!ingest.push_beat(t));
+        }
+        assert_eq!(ingest.stats().rejected_out_of_order, 2);
+        // A chain continuing past the newest sample is admitted.
+        assert!(!ingest.push_beat(100.5)); // restarts the chain (dropout)
+        assert!(ingest.push_beat(101.3));
+        let times: Vec<f64> = std::iter::from_fn(|| ingest.pop())
+            .map(|(t, _)| t)
+            .collect();
+        assert_eq!(times, [99.2, 100.0, 101.3]);
     }
 
     #[test]

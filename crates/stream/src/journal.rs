@@ -61,7 +61,7 @@ pub enum StreamEvent {
     /// A push batch cleared admission: `accepted` samples entered the
     /// ingest ring, `gated` were rejected by the plausibility rules.
     Admission {
-        /// Samples admitted into the queue.
+        /// Samples accepted by the ingest gate.
         accepted: u32,
         /// Samples rejected by delineate gating.
         gated: u32,
@@ -83,11 +83,12 @@ pub enum StreamEvent {
         /// The interval's joule budget.
         budget_j: f64,
     },
-    /// A push batch was refused with `Busy` backpressure.
+    /// A push batch above the per-push bound was refused with `Busy`.
     BusyRefusal {
-        /// Queue depth at refusal time.
+        /// Always 0 from the gateway, which queues nothing (kept for the
+        /// codec layout).
         queue_depth: u32,
-        /// The bounded queue's capacity.
+        /// The per-push bound in samples.
         capacity: u32,
     },
     /// The simulated battery's state of charge crossed below the

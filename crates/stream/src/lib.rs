@@ -74,7 +74,7 @@ pub use fleet::{
     cohort_member, BatteryStatus, FleetConfig, FleetReport, FleetScheduler, StreamBudget,
     StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,
 };
-pub use ingest::{rr_sample_plausible, IngestStats, RrIngest};
+pub use ingest::{IngestStats, RrIngest};
 pub use journal::{
     decode_events, encode_events, EventJournal, EventRecord, StreamEvent, SwitchReason,
     EVENT_JOURNAL_CAPACITY,

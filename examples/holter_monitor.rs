@@ -1,8 +1,8 @@
 //! Hourly monitoring (paper §VI.A) as a *networked* monitor: a loopback
 //! `hrv-service` gateway is started in-process, and the hour of beats
 //! flows to it as a real TCP client would send them — framed
-//! `PushBeats` batches through session admission, bounded queues and the
-//! fleet-backed analysis pump. Along the way the client switches the
+//! `PushBeats` batches through session admission into the fleet, which
+//! analyses each batch before acknowledging it. Along the way the client switches the
 //! stream to the paper's pruned operating mode over the wire
 //! (`SetQuality`), reads live reports, and finally drains the gateway;
 //! the streamed result is checked against the batch conventional system.
@@ -47,19 +47,16 @@ fn main() -> Result<(), ServiceError> {
     let mut batch_start = 0usize;
     for (i, &t) in beats.iter().enumerate() {
         if t >= (minutes + 1) as f64 * 60.0 || i == beats.len() - 1 {
-            let pushed = client.push_beats_blocking(
-                3,
-                &beats[batch_start..=i],
-                std::time::Duration::from_millis(1),
-            )?;
+            let pushed = client.push_beats(3, &beats[batch_start..=i])?;
             batch_start = i + 1;
             minutes += 1;
             // Every ~15 minutes of stream time, read a live report.
             if minutes.is_multiple_of(15) {
                 let report = client.read_report(3)?;
                 println!(
-                    "after {minutes:>3} min: {:>3} windows analysed, {:>2} flagged, queue depth {}",
-                    report.windows, report.arrhythmia_windows, pushed.queue_depth
+                    "after {minutes:>3} min: {:>3} windows analysed, {:>2} flagged, \
+                     last batch {} beats accepted",
+                    report.windows, report.arrhythmia_windows, pushed.accepted
                 );
             }
         }

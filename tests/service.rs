@@ -10,7 +10,6 @@ use hrv_psa::service::{
 use hrv_psa::stream::cohort_member;
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::time::Duration;
 
 const SEED: u64 = 2014;
 
@@ -66,9 +65,7 @@ fn eight_concurrent_clients_drain_bit_identical_to_offline_fleet() {
                 let mut client = ServiceClient::connect(addr).expect("connect");
                 client.open_stream(id as u64).expect("open");
                 for chunk in member_samples(id, DURATION).chunks(50) {
-                    let pushed = client
-                        .push_rr_blocking(id as u64, chunk, Duration::from_micros(200))
-                        .expect("push");
+                    let pushed = client.push_rr(id as u64, chunk).expect("push");
                     assert_eq!(pushed.accepted as usize, chunk.len());
                     assert_eq!(pushed.gated, 0);
                 }
@@ -98,7 +95,7 @@ fn saturated_session_receives_busy_and_queue_never_grows() {
     let mut client = handle.client().expect("client");
     client.open_stream(1).expect("open");
 
-    // A batch larger than the whole queue is refused outright.
+    // A batch above the per-push bound is refused outright.
     let big: Vec<(f64, f64)> = (0..64).map(|i| (0.8 * (i + 1) as f64, 0.8)).collect();
     assert_eq!(
         client.push_rr(1, &big).unwrap_err(),
@@ -107,14 +104,13 @@ fn saturated_session_receives_busy_and_queue_never_grows() {
             capacity: 16
         }
     );
-    // The refusal left no partial state: the same samples still fit in
-    // queue-sized chunks (waiting out backpressure as the pump drains).
+    // The refusal left no partial state: the same samples fit in
+    // bound-sized chunks, each analysed before its reply, so nothing
+    // queues between pushes.
     for chunk in big.chunks(16) {
-        let pushed = client
-            .push_rr_blocking(1, chunk, Duration::from_micros(200))
-            .expect("push");
+        let pushed = client.push_rr(1, chunk).expect("push");
         assert_eq!(pushed.accepted as usize, chunk.len());
-        assert!(pushed.queue_depth <= 16, "queue bounded at capacity");
+        assert_eq!(pushed.queue_depth, 0, "no queue behind the push");
     }
     let report = client.read_report(1).expect("report");
     assert_eq!(report.ingest.accepted, 64, "every sample eventually landed");
@@ -160,7 +156,7 @@ fn admission_control_is_enforced_over_the_wire() {
     // Closing a stream frees its session slot.
     client.close_stream(10).expect("close");
     client.open_stream(12).expect("slot freed");
-    // Implausible samples are gated at admission, not enqueued.
+    // Implausible samples are gated by the fleet's ingest.
     let pushed = client
         .push_rr(11, &[(1.0, 0.8), (0.5, 0.8), (2.0, 9.0), (2.5, 0.9)])
         .expect("push");
@@ -177,7 +173,7 @@ fn quality_switching_and_session_persistence_across_connections() {
         let mut client = handle.client().expect("client");
         client.open_stream(5).expect("open");
         client
-            .push_rr_blocking(5, &samples[..samples.len() / 2], Duration::from_micros(200))
+            .push_rr(5, &samples[..samples.len() / 2])
             .expect("first half");
         let backend = client
             .set_quality(5, ApproximationMode::BandDropSet3)
@@ -188,7 +184,7 @@ fn quality_switching_and_session_persistence_across_connections() {
     }
     let mut client = handle.client().expect("reconnect");
     client
-        .push_rr_blocking(5, &samples[samples.len() / 2..], Duration::from_micros(200))
+        .push_rr(5, &samples[samples.len() / 2..])
         .expect("second half");
     let report = client.read_report(5).expect("report");
     assert_eq!(report.backend, "wfft-haar+banddrop+prune60%");
@@ -250,9 +246,7 @@ fn budget_governance_over_the_wire() {
     let budget = StreamBudget::per_interval(2e-3, 4).with_battery(20.0, 1e-5);
     let backend = client.set_budget(9, budget).expect("budget set");
     assert!(!backend.is_empty());
-    client
-        .push_rr_blocking(9, &samples, Duration::from_micros(200))
-        .expect("replay");
+    client.push_rr(9, &samples).expect("replay");
     let status = client.read_budget(9).expect("status");
     assert_eq!(status.id, 9);
     assert_eq!(status.joules_per_interval, 2e-3);
@@ -306,13 +300,32 @@ fn metrics_exposition_reaches_clients_over_the_wire() {
         "# TYPE hrv_service_samples_admitted_total counter",
         "# TYPE hrv_kernel_builds_total counter",
         "# TYPE hrv_fleet_windows_total counter",
-        "hrv_session_queue_depth{stream=\"2\"}",
     ] {
         assert!(
             metrics.contains(family),
             "missing {family:?} in:\n{metrics}"
         );
     }
+    drop(client);
+    handle.shutdown().expect("shutdown");
+}
+
+#[test]
+fn metrics_exposition_size_does_not_grow_with_open_streams() {
+    let handle = Gateway::start(gateway_config(256, 64, 1)).expect("gateway");
+    let mut client = handle.client().expect("client");
+    client.open_stream(0).expect("open");
+    let one = client.metrics().expect("metrics").lines().count();
+    for id in 1..256 {
+        client.open_stream(id).expect("open");
+    }
+    let metrics = client.metrics().expect("metrics");
+    assert!(metrics.contains("hrv_service_sessions_open 256"));
+    assert_eq!(
+        metrics.lines().count(),
+        one,
+        "no per-stream series in the exposition"
+    );
     drop(client);
     handle.shutdown().expect("shutdown");
 }
@@ -326,19 +339,12 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
     let mut client = handle.client().expect("client");
     client.open_stream(3).expect("open");
     // Enough stream time for several 120 s analysis windows to emit, so
-    // the window-compute and queue-wait histograms record real samples.
+    // the window-compute and dispatch histograms record real samples.
     for chunk in member_samples(3, 400.0).chunks(50) {
-        client
-            .push_rr_blocking(3, chunk, Duration::from_micros(200))
-            .expect("push");
+        client.push_rr(3, chunk).expect("push");
     }
-    let report = loop {
-        let report = client.read_report(3).expect("report");
-        if report.windows > 0 {
-            break report;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
+    // Every answered push is analysed: the windows are visible at once.
+    let report = client.read_report(3).expect("report");
     assert!(report.windows > 0);
     let metrics = client.metrics().expect("metrics");
     // The whole exposition — counters, gauges, histograms — conforms.
@@ -346,7 +352,6 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
     for family in [
         "# TYPE hrv_service_frame_read_seconds histogram",
         "# TYPE hrv_service_frame_decode_seconds histogram",
-        "# TYPE hrv_service_queue_wait_seconds histogram",
         "# TYPE hrv_service_report_encode_seconds histogram",
         "# TYPE hrv_service_pump_dispatch_seconds histogram",
         "# TYPE hrv_stream_window_compute_seconds histogram",
@@ -358,7 +363,7 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
     // == _count > 0) and carry the kernel/rail labels on window compute.
     for (family, probe) in [
         ("hrv_service_frame_decode_seconds", "_bucket{le=\"+Inf\"}"),
-        ("hrv_service_queue_wait_seconds", "_bucket{le=\"+Inf\"}"),
+        ("hrv_service_pump_dispatch_seconds", "_bucket{le=\"+Inf\"}"),
         ("hrv_stream_window_compute_seconds", "le=\"+Inf\""),
     ] {
         let line = metrics
@@ -375,28 +380,17 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
     assert!(metrics.contains("rail=\""), "and by DVFS rail");
     // The per-backend kernel-cache breakdown rode along.
     assert!(metrics.contains("hrv_kernel_cached_plans{kernel=\""));
-    // Spans covered every pipeline stage end to end. A span lands in
-    // its ring when the guard drops, so the pump's dispatch span can
-    // close a beat after the window report became visible — poll
-    // briefly instead of racing the pump thread.
-    let expected = [
+    // Spans covered every pipeline stage end to end; the push's dispatch
+    // span closed before its reply was encoded.
+    let stages: std::collections::BTreeSet<&str> = tracer.spans().iter().map(|s| s.stage).collect();
+    for stage in [
         "request",
         "frame_decode",
         "handle",
         "report_encode",
-        "pump_dispatch",
+        "push_dispatch",
         "window_compute",
-    ];
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    let stages = loop {
-        let stages: std::collections::BTreeSet<&str> =
-            tracer.spans().iter().map(|s| s.stage).collect();
-        if expected.iter().all(|s| stages.contains(s)) || std::time::Instant::now() > deadline {
-            break stages;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    };
-    for stage in expected {
+    ] {
         assert!(stages.contains(stage), "no {stage:?} span in {stages:?}");
     }
     // ...and the Chrome export of a live gateway trace stays well-formed.
