@@ -25,6 +25,7 @@
 //!                        overload alert trajectory in as a
 //!                        "health_alerts" block
 
+use hrv_bench::splice_top_level_key;
 use hrv_core::{validate_exposition, AlertState};
 use hrv_service::{Gateway, GatewayConfig, ServiceError, SessionConfig};
 use hrv_stream::cohort_member;
@@ -74,7 +75,9 @@ fn main() {
     }
 
     if let Ok(path) = std::env::var("HRV_LOADGEN_BENCH") {
-        splice_bench_json(&path, &first);
+        splice_top_level_key(&path, "health_alerts", &health_alerts_block(&first))
+            .unwrap_or_else(|err| panic!("cannot splice health_alerts into {path}: {err}"));
+        println!("health_smoke: wrote {} alert rows to {path}", first.len());
     }
 
     println!(
@@ -219,17 +222,9 @@ fn overload_phase(rounds: usize) -> Vec<BusyTick> {
     trajectory
 }
 
-/// Splices the overload trajectory into `path` (BENCH_stream.json) as a
-/// top-level `"health_alerts"` block, replacing a previous run's block —
-/// same string surgery as loadgen's `latency_stages_us` splice.
-fn splice_bench_json(path: &str, trajectory: &[BusyTick]) {
-    let original = match std::fs::read_to_string(path) {
-        Ok(text) => text,
-        Err(err) => {
-            eprintln!("health_smoke: cannot read {path}: {err}");
-            return;
-        }
-    };
+/// Renders the overload trajectory as BENCH_stream.json's top-level
+/// `"health_alerts"` block.
+fn health_alerts_block(trajectory: &[BusyTick]) -> String {
     let mut block = String::from("  \"health_alerts\": [\n");
     for (i, (tick, state, since, short, long)) in trajectory.iter().enumerate() {
         let sep = if i + 1 == trajectory.len() { "" } else { "," };
@@ -241,33 +236,5 @@ fn splice_bench_json(path: &str, trajectory: &[BusyTick]) {
         ));
     }
     block.push_str("  ],\n");
-    let without_old = match original.find("  \"health_alerts\":") {
-        Some(start) => {
-            let rest = &original[start..];
-            let end = rest
-                .match_indices("\n  \"")
-                .map(|(i, _)| start + i + 1)
-                .next()
-                .unwrap_or(original.len());
-            format!("{}{}", &original[..start], &original[end..])
-        }
-        None => original,
-    };
-    let anchor = without_old
-        .find("  \"notes\":")
-        .or_else(|| without_old.rfind('}'))
-        .unwrap_or(without_old.len());
-    let updated = format!(
-        "{}{}{}",
-        &without_old[..anchor],
-        block,
-        &without_old[anchor..]
-    );
-    match std::fs::write(path, &updated) {
-        Ok(()) => println!(
-            "health_smoke: wrote {} alert rows to {path}",
-            trajectory.len()
-        ),
-        Err(err) => eprintln!("health_smoke: cannot write {path}: {err}"),
-    }
+    block
 }

@@ -64,9 +64,65 @@ pub fn bar(value: f64, max: f64, width: usize) -> String {
     format!("{}{}", "█".repeat(filled), "·".repeat(width - filled))
 }
 
+/// Splices `block` — a complete `  "key": …,\n` fragment — into `text`,
+/// a `BENCH_*.json` record in its 2-space-indented top-level layout, as
+/// the top-level `key`. An existing block for `key` is replaced where it
+/// stands; a new key goes just before the trailing `"notes"` key (or the
+/// closing brace). Plain string surgery: the workspace has no JSON
+/// dependency.
+fn splice_block(text: &str, key: &str, block: &str) -> String {
+    let closing = || text.rfind("\n}").map_or(text.len(), |i| i + 1);
+    let (start, end) = match text.find(&format!("\n  \"{key}\":")) {
+        Some(at) => {
+            let start = at + 1;
+            let end = text[start..]
+                .find("\n  \"")
+                .map_or_else(closing, |i| start + i + 1);
+            (start, end)
+        }
+        None => {
+            let anchor = text.find("\n  \"notes\":").map_or_else(closing, |i| i + 1);
+            (anchor, anchor)
+        }
+    };
+    format!("{}{block}{}", &text[..start], &text[end..])
+}
+
+/// Splices `block` — a complete `  "key": …,\n` fragment — into the
+/// `BENCH_*.json` record at `path` as its top-level `key`, rewriting the
+/// file: an existing block for `key` is replaced where it stands, a new
+/// key goes just before the trailing `"notes"` key.
+///
+/// # Errors
+///
+/// Returns the I/O error when `path` cannot be read or written.
+pub fn splice_top_level_key(path: &str, key: &str, block: &str) -> std::io::Result<()> {
+    let text = std::fs::read_to_string(path)?;
+    std::fs::write(path, splice_block(&text, key, block))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn splice_replaces_in_place_inserts_before_notes_and_is_idempotent() {
+        let record = "{\n  \"a\": 1,\n  \"b\": [\n    { \"x\": 1 }\n  ],\n  \"c\": 3,\n  \
+                      \"notes\": [\n    \"n\"\n  ]\n}\n";
+        let replaced = splice_block(record, "b", "  \"b\": 2,\n");
+        assert_eq!(
+            replaced,
+            "{\n  \"a\": 1,\n  \"b\": 2,\n  \"c\": 3,\n  \"notes\": [\n    \"n\"\n  ]\n}\n"
+        );
+        let block = "  \"d\": {\n    \"y\": 4\n  },\n";
+        let added = splice_block(&replaced, "d", block);
+        assert_eq!(
+            added,
+            "{\n  \"a\": 1,\n  \"b\": 2,\n  \"c\": 3,\n  \"d\": {\n    \"y\": 4\n  },\n  \
+             \"notes\": [\n    \"n\"\n  ]\n}\n"
+        );
+        assert_eq!(splice_block(&added, "d", block), added, "idempotent");
+    }
 
     #[test]
     fn cohorts_are_deterministic_and_sized() {

@@ -15,11 +15,11 @@
 //!   at.
 //! * [`DistortionGovernor`] — the paper's Fig. 2 policy: chases a
 //!   distortion target `Q_DES` from a rolling audit-fed error estimate,
-//!   with dwell and hysteresis against thrash. This is a
-//!   decision-identical port of the original online quality controller
-//!   (`hrv-stream`'s `OnlineQualityController` is now a thin adapter over
-//!   it), asserted bit-for-bit on recorded traces in
-//!   `tests/governor.rs`.
+//!   with dwell and hysteresis against thrash. It is the one online
+//!   distortion controller (the fleet, the gateway and the streaming
+//!   tests all drive it directly), decision-identical to the original
+//!   controller it was extracted from — asserted bit-for-bit on recorded
+//!   traces in `tests/governor.rs`.
 //! * [`EnergyBudgetGovernor`] — the budget policy: spends a per-stream
 //!   joule budget over a reporting interval, picking per window the
 //!   highest-quality [`CandidatePoint`] whose predicted energy fits the
@@ -101,7 +101,7 @@ pub struct WindowObservation {
 
 impl WindowObservation {
     /// An observation carrying only the quality signal — what
-    /// distortion-only callers (the legacy controller adapter) feed.
+    /// distortion-only callers without energy accounting feed.
     pub fn quality_only(lf_hf: f64, exact_lf_hf: Option<f64>) -> Self {
         WindowObservation {
             lf_hf,
@@ -181,8 +181,8 @@ pub trait QualityGovernor: fmt::Debug + Send {
 /// and deflates `Q_DES` by that inflation factor (clamped ≥ 1, so the
 /// design-time expectation is never trusted less than the evidence).
 ///
-/// This is the decision-identical extraction of the original
-/// `OnlineQualityController`; its switch sequences are locked to recorded
+/// This is the decision-identical extraction of the original online
+/// quality controller; its switch sequences are locked to recorded
 /// pre-refactor traces in `tests/governor.rs`.
 #[derive(Clone, Debug)]
 pub struct DistortionGovernor {
@@ -733,6 +733,20 @@ mod tests {
     }
 
     #[test]
+    fn starts_from_design_time_selection() {
+        let gov = distortion_governor(5.0);
+        assert_eq!(
+            gov.current().expect("choice").mode,
+            ApproximationMode::BandDropSet2
+        );
+        let generous = distortion_governor(10.0);
+        assert_eq!(
+            generous.current().expect("choice").mode,
+            ApproximationMode::BandDropSet3
+        );
+    }
+
+    #[test]
     fn distortion_governor_forces_exact_then_reenters() {
         let mut gov = distortion_governor(5.0).with_audit_period(1).with_dwell(1);
         let d = gov.observe_window(&obs(0.60, Some(0.45)));
@@ -763,6 +777,56 @@ mod tests {
             vec![true, false, false, false, true, false, false, false]
         );
         assert_eq!(gov.audits(), 0, "caller controls when audits happen");
+    }
+
+    #[test]
+    fn dwell_prevents_thrash_on_oscillating_evidence() {
+        let mut gov = distortion_governor(5.0).with_audit_period(1).with_dwell(4);
+        // Alternate between clean (3 %) and inflated (6 %) audits: the
+        // inflation-deflated budget flips the instantaneous target across
+        // the Set2/BandDrop boundary, but dwell keeps the configuration
+        // stable.
+        for i in 0..60 {
+            let approx = if i % 2 == 0 { 0.45 * 1.03 } else { 0.45 * 1.06 };
+            let _ = gov.observe_window(&obs(approx, Some(0.45)));
+        }
+        assert!(gov.current().is_some(), "evidence stays within budget");
+        assert!(
+            gov.switches() <= 4,
+            "oscillating evidence caused {} switches",
+            gov.switches()
+        );
+        assert_eq!(gov.audits(), 60);
+        assert_eq!(gov.windows(), 60);
+    }
+
+    #[test]
+    fn reentry_after_overrun_lands_on_a_safer_configuration() {
+        // Start at Set2 (expected 4 %), overrun the budget hard, then feed
+        // clean audits: the governor must come back — but the lingering
+        // inflation must make it re-enter at the safer BandDrop point, not
+        // jump straight back to the configuration that overran.
+        let mut gov = distortion_governor(5.0).with_audit_period(1).with_dwell(1);
+        assert_eq!(
+            gov.current().expect("choice").mode,
+            ApproximationMode::BandDropSet2
+        );
+        let _ = gov.observe_window(&obs(0.60, Some(0.45))); // ~33 % error
+        assert_eq!(gov.current(), None, "over budget → exact fallback");
+        let choice = (0..40)
+            .find_map(|_| gov.observe_window(&obs(0.45, Some(0.45))).choice)
+            .expect("must re-enter approximation");
+        assert_eq!(
+            choice.mode,
+            ApproximationMode::BandDrop,
+            "re-entry must pick the safer configuration"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "Q_DES must be positive")]
+    fn zero_qdes_rejected() {
+        let _ = distortion_governor(0.0);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum ServiceError {
     },
     /// The push carries more samples than the gateway's per-push bound
     /// ([`crate::SessionConfig::queue_capacity`]) and was refused whole.
-    /// A retry of the same batch is refused again: split it into batches
-    /// of at most `capacity` samples.
+    /// No wait cures it — a retry of the same batch is refused again, so
+    /// clients do not back off and retry: split the batch into pushes of
+    /// at most `capacity` samples.
     Busy {
         /// The stream the batch was pushed to.
         stream: u64,

@@ -24,6 +24,13 @@ pub const MAX_FRAME: usize = 8 << 20;
 /// Bytes of the length prefix.
 pub const HEADER_LEN: usize = 4;
 
+/// The most body memory [`FrameReader`] commits before the bytes that
+/// fill it arrive. The body buffer grows as the frame does — by the
+/// bytes already held, at least this much — so a bare header announcing
+/// [`MAX_FRAME`] buys 64 KiB, not 8 MiB, and a frame of up to 64 KiB
+/// (every push the benchmarks send) still allocates exactly once.
+const BODY_CHUNK: usize = 64 << 10;
+
 /// Writes one frame (length prefix + body) and flushes.
 ///
 /// # Errors
@@ -146,13 +153,16 @@ impl FrameReader {
                         });
                     }
                     self.body.clear();
-                    self.body.resize(len, 0);
                     self.have = 0;
                     self.body_len = Some(len);
                 }
                 Some(len) => {
                     if self.have < len {
-                        match read_step(reader, &mut self.body[self.have..len])? {
+                        if self.have == self.body.len() {
+                            let grow = (len - self.have).min(self.have.max(BODY_CHUNK));
+                            self.body.resize(self.have + grow, 0);
+                        }
+                        match read_step(reader, &mut self.body[self.have..])? {
                             ReadStep::Eof => {
                                 return Err(ServiceError::Truncated {
                                     expected: len,
@@ -277,6 +287,49 @@ mod tests {
                 max: MAX_FRAME
             }
         );
+    }
+
+    #[test]
+    fn header_alone_buys_one_chunk_not_the_announced_body() {
+        let wire = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        let mut reader = FrameReader::new();
+        /// Delivers `wire`, then reports "not ready" forever.
+        struct Stalled(Cursor<Vec<u8>>);
+        impl Read for Stalled {
+            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+                match self.0.read(buf)? {
+                    0 => Err(std::io::Error::new(ErrorKind::WouldBlock, "stalled")),
+                    n => Ok(n),
+                }
+            }
+        }
+        let mut src = Stalled(Cursor::new(wire));
+        assert_eq!(reader.poll(&mut src).unwrap(), FramePoll::Pending);
+        assert_eq!(reader.body_len, Some(MAX_FRAME));
+        assert!(
+            reader.body.capacity() <= BODY_CHUNK,
+            "header-only connection holds {} body bytes",
+            reader.body.capacity()
+        );
+    }
+
+    #[test]
+    fn frames_up_to_one_chunk_allocate_once_and_larger_ones_reassemble() {
+        let small = vec![7u8; BODY_CHUNK];
+        let big: Vec<u8> = (0..3 * BODY_CHUNK + 5).map(|i| i as u8).collect();
+        let mut wire = framed(&small);
+        wire.extend(framed(&big));
+        let mut cursor = Cursor::new(wire);
+        let mut reader = FrameReader::new();
+        match reader.poll(&mut cursor).unwrap() {
+            FramePoll::Frame(body) => {
+                assert_eq!(body, small);
+                assert_eq!(body.capacity(), BODY_CHUNK, "one exact allocation");
+            }
+            other => panic!("expected a frame, got {other:?}"),
+        }
+        assert_eq!(reader.poll(&mut cursor).unwrap(), FramePoll::Frame(big));
+        assert_eq!(reader.poll(&mut cursor).unwrap(), FramePoll::Closed);
     }
 
     #[test]

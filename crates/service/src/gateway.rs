@@ -425,10 +425,9 @@ impl Drop for GatewayHandle {
 
 impl ShardService for Shared {
     /// Serves one decoded frame on a reactor shard: decode → (hello
-    /// gate) → handle → encode, each stage spanned and timed exactly as
-    /// the thread-per-connection handler did. `Shutdown` runs the drain
-    /// (if no one else is) and parks the connection; the shard's drain
-    /// epilogue sends the `ShutdownAck`.
+    /// gate) → handle → encode, each stage spanned and timed. A
+    /// `Shutdown` parks the connection (see `handle_request`); the
+    /// shard's drain epilogue sends the `ShutdownAck`.
     fn serve(&self, handshaken: &mut bool, body: &[u8]) -> ServeOutcome {
         self.frames_total.inc();
         // The root span covers decode → handle → encode; socket reads
@@ -452,13 +451,11 @@ impl ShardService for Shared {
                     "expected Hello before any other request".into(),
                 ))
             }
-            Ok(Request::Shutdown) => {
-                self.begin_drain();
-                return ServeOutcome::ShutdownPending;
-            }
             Ok(request) => {
                 let _handle = self.tracer.span("handle");
-                let reply = handle_request(self, request);
+                let Some(reply) = handle_request(self, request) else {
+                    return ServeOutcome::ShutdownPending;
+                };
                 if matches!(reply, Reply::HelloAck { .. }) {
                     *handshaken = true;
                 }
@@ -514,9 +511,12 @@ impl ShardService for Shared {
     }
 }
 
-/// Serves one decoded request. Every outcome is a typed [`Reply`].
-fn handle_request(shared: &Shared, request: Request) -> Reply {
-    match request {
+/// Serves one decoded request. Every outcome is a typed [`Reply`] except
+/// `Shutdown`'s: it runs the drain (if no one else is) and answers
+/// `None`, parking the connection until the shard's drain epilogue
+/// sends the `ShutdownAck`.
+fn handle_request(shared: &Shared, request: Request) -> Option<Reply> {
+    let reply = match request {
         Request::Hello { version } => {
             if version != PROTOCOL_VERSION {
                 Reply::Error(ServiceError::Protocol(format!(
@@ -570,7 +570,7 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             // patterns, and a NaN budget would poison every later
             // comparison. The refusal is a typed wire error.
             if let Err(err) = budget.validate() {
-                return Reply::Error(ServiceError::InvalidTarget(err.to_string()));
+                return Some(Reply::Error(ServiceError::InvalidTarget(err.to_string())));
             }
             match lock_unpoisoned(&shared.sessions)
                 .fleet
@@ -602,15 +602,12 @@ fn handle_request(shared: &Shared, request: Request) -> Reply {
             Ok(report) => Reply::Closed(report),
             Err(err) => Reply::Error(err),
         },
-        // Unreachable from the reactor path — `serve` intercepts
-        // Shutdown to park the connection — but kept total for any
-        // direct caller: the drain runs once, and the typed reply says
-        // what to expect instead.
         Request::Shutdown => {
             shared.begin_drain();
-            Reply::Error(ServiceError::ShuttingDown)
+            return None;
         }
-    }
+    };
+    Some(reply)
 }
 
 /// Pipeline-stage histogram families surfaced as [`StageLatency`] rows

@@ -73,7 +73,7 @@ pub mod proto;
 pub mod reactor;
 pub mod session;
 
-pub use client::{BusyBackoff, ServiceClient};
+pub use client::ServiceClient;
 pub use error::ServiceError;
 pub use frame::{write_frame, FramePoll, FrameReader, HEADER_LEN, MAX_FRAME};
 pub use gateway::{Gateway, GatewayConfig, GatewayHandle, MAX_SESSIONS};

@@ -14,15 +14,15 @@
 //!   weight half of the packed Fast-Lomb transform across windows (and a
 //!   half-length real FFT for the data half), so each window costs
 //!   measurably fewer operations than a from-scratch segment;
-//! * [`OnlineQualityController`] — re-selects the
-//!   `(ApproximationMode, PruningPolicy, VFS)` operating point per window
-//!   from a rolling, audit-fed distortion estimate, with dwell and
-//!   hysteresis so the configuration does not thrash;
 //! * [`FleetScheduler`] — multiplexes thousands of patient streams across
 //!   sharded scoped-thread workers (one scratch arena per worker, zero
 //!   steady-state allocations per window on the default exact-kernel
 //!   path) and reports aggregate throughput and energy via
-//!   `hrv-node-sim`.
+//!   `hrv-node-sim`. Each stream may carry a run-time governor from
+//!   `hrv-core` ([`hrv_core::DistortionGovernor`] re-selects the
+//!   `(ApproximationMode, PruningPolicy, VFS)` operating point per window
+//!   from a rolling, audit-fed distortion estimate;
+//!   [`hrv_core::EnergyBudgetGovernor`] spends a joule budget).
 //!
 //! All kernels are planned and built through `hrv-core`'s shared
 //! execution layer ([`hrv_core::SpectralPlan`] + [`hrv_core::KernelCache`]):
@@ -62,14 +62,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod controller;
 mod fleet;
 mod ingest;
 mod journal;
 mod scratch;
 mod sliding;
 
-pub use controller::OnlineQualityController;
 pub use fleet::{
     cohort_member, BatteryStatus, FleetConfig, FleetReport, FleetScheduler, StreamBudget,
     StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,
@@ -81,3 +79,94 @@ pub use journal::{
 };
 pub use scratch::{ScratchPool, StreamScratch};
 pub use sliding::{band_powers, SlidingLomb, WindowView, AUDIT_BLOCK};
+
+/// The run-time controller as a stream holds it: a boxed
+/// [`hrv_core::QualityGovernor`] fed one quality-only observation per
+/// window.
+#[cfg(test)]
+mod controller {
+    mod tests {
+        use hrv_core::{
+            ApproximationMode, DistortionGovernor, PruningPolicy, QualityController,
+            QualityGovernor, SweepResult, TradeoffPoint, WindowObservation,
+        };
+
+        fn point(mode: ApproximationMode, err: f64, save: f64) -> TradeoffPoint {
+            TradeoffPoint {
+                mode,
+                policy: PruningPolicy::Static,
+                vfs: true,
+                avg_ratio: 0.46,
+                ratio_error_pct: err,
+                energy_j: 1.0,
+                savings_pct: save,
+                cycle_ratio: 0.5,
+                fft_cycle_ratio: 0.4,
+                fft_savings_pct: save + 10.0,
+                detection_rate: 1.0,
+            }
+        }
+
+        fn governor(qdes: f64) -> DistortionGovernor {
+            let sweep = SweepResult {
+                conventional_ratio: 0.45,
+                conventional_energy: 1.0,
+                conventional_cycles: 1_000_000,
+                points: vec![
+                    point(ApproximationMode::BandDrop, 2.0, 40.0),
+                    point(ApproximationMode::BandDropSet2, 4.0, 60.0),
+                    point(ApproximationMode::BandDropSet3, 8.0, 80.0),
+                ],
+            };
+            DistortionGovernor::new(QualityController::from_sweep(&sweep, true), qdes)
+        }
+
+        fn observe(ctrl: &mut dyn QualityGovernor, lf_hf: f64, exact: Option<f64>) -> bool {
+            ctrl.observe_window(&WindowObservation::quality_only(lf_hf, exact))
+                .choice
+                .is_some()
+        }
+
+        #[test]
+        fn excess_distortion_forces_exact_then_reenters() {
+            let mut ctrl: Box<dyn QualityGovernor> =
+                Box::new(governor(5.0).with_audit_period(1).with_ewma_alpha(1.0));
+            // Observed error far above budget → immediate exact fallback.
+            assert!(!observe(ctrl.as_mut(), 0.60, Some(0.45)));
+            assert!(ctrl.distortion_estimate_pct() > 5.0);
+            // While exact, audits read zero error; the estimate must decay
+            // below the re-entry threshold before approximation resumes.
+            let mut ctrl: Box<dyn QualityGovernor> =
+                Box::new(governor(5.0).with_audit_period(1).with_dwell(1));
+            let _ = observe(ctrl.as_mut(), 0.60, Some(0.45));
+            assert_eq!(ctrl.current(), None);
+            let lag = (0..40)
+                .position(|_| observe(ctrl.as_mut(), 0.45, Some(0.45)))
+                .expect("controller must re-enter approximation");
+            assert!(
+                lag >= 2,
+                "re-entry must lag the first clean audit (hysteresis)"
+            );
+        }
+
+        #[test]
+        fn audit_schedule_follows_period() {
+            let mut ctrl: Box<dyn QualityGovernor> = Box::new(governor(5.0).with_audit_period(4));
+            let mut audit_flags = Vec::new();
+            for _ in 0..8 {
+                audit_flags.push(ctrl.should_audit());
+                let _ = observe(ctrl.as_mut(), 0.45, None);
+            }
+            assert_eq!(
+                audit_flags,
+                vec![true, false, false, false, true, false, false, false]
+            );
+        }
+
+        #[test]
+        #[should_panic(expected = "Q_DES must be positive")]
+        fn nan_budget_rejected() {
+            let _ = governor(f64::NAN);
+        }
+    }
+}

@@ -26,8 +26,9 @@
 //! * [`node_sim`] (`hrv-node-sim`) — the sensor-node cycle/energy/DVFS
 //!   model and validation VM;
 //! * [`stream`] (`hrv-stream`) — incremental streaming analysis:
-//!   sample-by-sample RR ingestion, the sliding Welch–Lomb engine, the
-//!   online quality controller and the multi-patient fleet scheduler;
+//!   sample-by-sample RR ingestion, the sliding Welch–Lomb engine and
+//!   the multi-patient fleet scheduler (its streams are governed by
+//!   `hrv-core`'s policies);
 //! * [`service`] (`hrv-service`) — the network gateway: length-prefixed
 //!   wire protocol over TCP, session admission with backpressure, and
 //!   fleet-backed streaming with shared telemetry.
@@ -80,8 +81,8 @@ pub mod prelude {
     pub use hrv_node_sim::Battery;
     pub use hrv_service::{Gateway, GatewayConfig, ServiceClient, ServiceError, SessionConfig};
     pub use hrv_stream::{
-        FleetConfig, FleetScheduler, OnlineQualityController, RrIngest, SlidingLomb, StreamBudget,
-        StreamReport, StreamScratch,
+        FleetConfig, FleetScheduler, RrIngest, SlidingLomb, StreamBudget, StreamReport,
+        StreamScratch,
     };
     pub use hrv_wavelet::WaveletBasis;
     pub use hrv_wfft::{PruneConfig, PruneSet, PrunedWfft, WfftPlan};

@@ -1,11 +1,11 @@
 //! Governor-layer equivalence and budget-loop integration tests.
 //!
-//! The governance refactor (PR 5) extracted `OnlineQualityController`'s
-//! decision logic into `hrv_core::DistortionGovernor`. The contract is
-//! **decision identity**: the governor must reproduce the legacy
-//! controller's switch sequence bit for bit. The traces below were
-//! recorded against the pre-refactor controller (commit 67b3c6d) and are
-//! asserted verbatim — if the extracted logic ever drifts, these fail.
+//! `hrv_core::DistortionGovernor` is the paper's Fig. 2 run-time
+//! controller. The contract is **decision identity** with the original
+//! online controller it was extracted from: the governor must reproduce
+//! its switch sequence bit for bit. The traces below were recorded
+//! against that controller (commit 67b3c6d) and are asserted verbatim —
+//! if the decision logic ever drifts, these fail.
 //!
 //! The budget half closes the quality↔energy loop: sharded
 //! budget-governed fleets must stay bit-identical to serial ones, and a
@@ -17,7 +17,7 @@ use hrv_psa::core::{
     SweepResult, TradeoffPoint, WindowObservation,
 };
 use hrv_psa::prelude::*;
-use hrv_psa::stream::{FleetConfig, FleetScheduler, OnlineQualityController, StreamBudget};
+use hrv_psa::stream::{FleetConfig, FleetScheduler, StreamBudget};
 
 fn point(mode: ApproximationMode, err: f64, save: f64) -> TradeoffPoint {
     TradeoffPoint {
@@ -149,7 +149,6 @@ fn build_governor(trace: &RecordedTrace) -> DistortionGovernor {
 }
 
 fn assert_trace(trace: &RecordedTrace) {
-    // The extracted governor, driven directly.
     let mut governor = build_governor(trace);
     let observed = replay(trace, governor.current(), |lf_hf, exact| {
         governor
@@ -166,25 +165,6 @@ fn assert_trace(trace: &RecordedTrace) {
         governor.distortion_estimate_pct(),
         trace.estimate_pct
     );
-
-    // The streaming adapter, driven through its legacy API.
-    let mut controller = {
-        let mut ctrl =
-            OnlineQualityController::new(QualityController::from_sweep(&sweep(), true), trace.qdes)
-                .with_audit_period(trace.audit_every);
-        if let Some(dwell) = trace.dwell {
-            ctrl = ctrl.with_dwell(dwell);
-        }
-        if let Some(alpha) = trace.alpha {
-            ctrl = ctrl.with_ewma_alpha(alpha);
-        }
-        ctrl
-    };
-    let observed = replay(trace, controller.current(), |lf_hf, exact| {
-        controller.observe_window(lf_hf, exact)
-    });
-    assert_eq!(observed, trace.sequence, "adapter switch sequence");
-    assert_eq!(controller.switches(), trace.switches);
 }
 
 #[test]

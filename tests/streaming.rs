@@ -3,18 +3,19 @@
 //! The contract of `hrv-stream`: feeding an RR series one sample at a time
 //! through `SlidingLomb` yields the same segments (start, sample count,
 //! spectrum within 1e-9) as batch `WelchLomb`, while spending fewer
-//! operations per window; and the `OnlineQualityController` keeps the
+//! operations per window; and the online `DistortionGovernor` keeps the
 //! observed LF/HF distortion within the caller's Q_DES on the seeded
 //! cohort.
 
 use hrv_psa::core::{
-    energy_quality_sweep, ApproximationMode, KernelCache, NodeModel, PruningPolicy, PsaConfig,
-    PsaSystem, QualityController, SpectralPlan,
+    energy_quality_sweep, ApproximationMode, DistortionGovernor, KernelCache, NodeModel,
+    PruningPolicy, PsaConfig, PsaSystem, QualityController, QualityGovernor, SpectralPlan,
+    WindowObservation,
 };
 use hrv_psa::dsp::{BlockOps, OpCount, SplitRadixFft};
 use hrv_psa::ecg::{Condition, SyntheticDatabase};
 use hrv_psa::lomb::{FastLomb, WelchLomb};
-use hrv_psa::prelude::{FleetConfig, FleetScheduler, OnlineQualityController};
+use hrv_psa::prelude::{FleetConfig, FleetScheduler};
 use hrv_psa::stream::{SlidingLomb, StreamScratch, WindowView};
 use hrv_psa::wavelet::WaveletBasis;
 use proptest::prelude::*;
@@ -181,7 +182,7 @@ fn online_controller_respects_qdes_on_seeded_cohort() {
     for rr in &cohort {
         let mut engine = SlidingLomb::from_plan(&plan, &cache).expect("valid");
         let mut controller =
-            OnlineQualityController::new(QualityController::from_sweep(&sweep, true), qdes_pct)
+            DistortionGovernor::new(QualityController::from_sweep(&sweep, true), qdes_pct)
                 .with_audit_period(4);
         // Install a kernel per controller choice — cache lookups after the
         // first stream.
@@ -205,7 +206,8 @@ fn online_controller_respects_qdes_on_seeded_cohort() {
             let mut audit = false;
             {
                 let mut sink = |w: &WindowView<'_>| {
-                    decision = Some(controller.observe_window(w.lf_hf_ratio(), w.exact_lf_hf));
+                    let obs = WindowObservation::quality_only(w.lf_hf_ratio(), w.exact_lf_hf);
+                    decision = Some(controller.observe_window(&obs).choice);
                     audit = audit || controller.should_audit();
                 };
                 engine.push(t, v, &mut scratch, &mut sink);
@@ -255,7 +257,7 @@ fn online_controller_respects_qdes_on_seeded_cohort() {
 }
 
 /// Acceptance guarantee of the execution layer: once the kernel cache is
-/// warm, repeated `OnlineQualityController` switches perform **zero**
+/// warm, repeated `DistortionGovernor` switches perform **zero**
 /// kernel builds — a switch is a cache lookup.
 #[test]
 fn warm_kernel_cache_switches_without_builds() {
@@ -327,7 +329,7 @@ fn warm_kernel_cache_switches_without_builds() {
     // Drive the controller through oscillating evidence so it actually
     // switches, resolving its decision through the cache every window —
     // the fleet's per-window path.
-    let mut controller = OnlineQualityController::new(inner, 5.0)
+    let mut controller = DistortionGovernor::new(inner, 5.0)
         .with_audit_period(1)
         .with_dwell(2)
         .with_ewma_alpha(1.0);
@@ -337,7 +339,9 @@ fn warm_kernel_cache_switches_without_builds() {
         // A mild overrun (8 % > Q_DES) every 20 windows forces the exact
         // fallback; clean audits in between re-enter approximation.
         let observed = if i % 20 == 0 { 0.45 * 1.08 } else { 0.45 };
-        let decision = controller.observe_window(observed, Some(exact));
+        let decision = controller
+            .observe_window(&WindowObservation::quality_only(observed, Some(exact)))
+            .choice;
         let kernel = match decision {
             Some(choice) => cache.backend_for_choice(&plan, &choice).expect("cached"),
             None => cache.exact(plan.fft_len()),
