@@ -28,7 +28,7 @@
 use hrv_bench::splice_top_level_key;
 use hrv_core::{validate_exposition, AlertState};
 use hrv_service::{Gateway, GatewayConfig, ServiceError, SessionConfig};
-use hrv_stream::cohort_member;
+use hrv_stream::cohort_samples;
 
 const SEED: u64 = 2014;
 
@@ -103,14 +103,7 @@ fn nominal_phase(streams: usize, seconds: f64) {
     let mut pushed = 0u64;
     for id in 0..streams {
         client.open_stream(id as u64).expect("open");
-        let record = cohort_member(SEED, id, seconds);
-        let samples: Vec<(f64, f64)> = record
-            .rr
-            .times()
-            .iter()
-            .copied()
-            .zip(record.rr.intervals().iter().copied())
-            .collect();
+        let samples = cohort_samples(SEED, id, seconds);
         for chunk in samples.chunks(256) {
             let outcome = client.push_rr(id as u64, chunk).expect("push (no Busy)");
             pushed += u64::from(outcome.accepted);

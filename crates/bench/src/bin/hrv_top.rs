@@ -26,7 +26,7 @@
 use hrv_service::{
     Gateway, GatewayConfig, HealthSnapshot, ServiceClient, SessionConfig, PROTOCOL_VERSION,
 };
-use hrv_stream::{cohort_member, EventRecord};
+use hrv_stream::{cohort_samples, EventRecord};
 use std::time::Duration;
 
 const SEED: u64 = 2014;
@@ -88,14 +88,7 @@ fn demo() {
     let mut client = handle.client().expect("client");
     for id in 0..streams {
         client.open_stream(id as u64).expect("open");
-        let record = cohort_member(SEED, id, seconds);
-        let samples: Vec<(f64, f64)> = record
-            .rr
-            .times()
-            .iter()
-            .copied()
-            .zip(record.rr.intervals().iter().copied())
-            .collect();
+        let samples = cohort_samples(SEED, id, seconds);
         for chunk in samples.chunks(256) {
             client.push_rr(id as u64, chunk).expect("push");
         }

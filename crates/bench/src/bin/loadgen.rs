@@ -25,7 +25,6 @@
 //!   HRV_LOADGEN_SECONDS  seconds of RR data per stream (default 600)
 //!   HRV_LOADGEN_BATCH    samples per PushRr frame      (default 64)
 //!   HRV_LOADGEN_QUEUE    per-push sample bound         (default 1024)
-//!   HRV_LOADGEN_WORKERS  fleet worker shards           (default 2)
 //!   HRV_LOADGEN_REACTORS gateway reactor shards        (default 2)
 //!   HRV_LOADGEN_BUDGET_J joules per 4-window interval  (default 0 = ungoverned)
 //!   HRV_LOADGEN_TRACE    path: the gateway traces spans and dumps Chrome
@@ -46,7 +45,7 @@ use hrv_service::{
     write_frame, FramePoll, FrameReader, Gateway, GatewayConfig, Reply, Request, ServiceClient,
     SessionConfig, StageLatency, PROTOCOL_VERSION,
 };
-use hrv_stream::{cohort_member, FleetConfig, FleetScheduler, StreamBudget};
+use hrv_stream::{cohort_samples, FleetConfig, FleetScheduler, StreamBudget};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::os::fd::AsRawFd;
@@ -62,7 +61,6 @@ struct Knobs {
     seconds: f64,
     batch: usize,
     queue: usize,
-    workers: usize,
     reactors: usize,
     budget_j: f64,
 }
@@ -81,7 +79,6 @@ impl Knobs {
             seconds: env("HRV_LOADGEN_SECONDS", 600usize) as f64,
             batch,
             queue: env("HRV_LOADGEN_QUEUE", 1024usize).max(batch),
-            workers: env("HRV_LOADGEN_WORKERS", 2usize).max(1),
             reactors: env("HRV_LOADGEN_REACTORS", 2usize).max(1),
             budget_j: env("HRV_LOADGEN_BUDGET_J", 0.0f64),
         }
@@ -92,7 +89,8 @@ impl Knobs {
             .then(|| StreamBudget::per_interval(self.budget_j, BUDGET_INTERVAL_WINDOWS))
     }
 
-    /// The same cohort through an offline fleet.
+    /// The same cohort through an offline fleet on two worker shards, so
+    /// the drain is checked against a sharded run.
     fn offline_fleet(&self) -> FleetScheduler {
         FleetScheduler::new(
             PsaConfig::conventional(),
@@ -101,7 +99,7 @@ impl Knobs {
                 duration: self.seconds,
                 seed: SEED,
                 slice: 60.0,
-                workers: self.workers,
+                workers: 2,
             },
         )
         .expect("valid offline fleet")
@@ -127,7 +125,6 @@ fn child_gateway_main() {
         None => Tracer::disabled(),
     };
     let handle = Gateway::start(GatewayConfig {
-        workers: knobs.workers,
         session: SessionConfig {
             max_sessions: knobs.streams,
             queue_capacity: knobs.queue,
@@ -346,7 +343,6 @@ fn run() {
         seconds,
         batch,
         queue,
-        workers,
         reactors,
         budget_j,
     } = knobs;
@@ -408,7 +404,7 @@ fn run() {
     let baseline_rss_kb = proc_status_kb(child.id(), "VmRSS:").expect("baseline VmRSS");
     println!(
         "loadgen: {streams} sessions x {seconds:.0} s ({batch}-sample frames, {queue}-sample \
-         push bound, {reactors} reactor shards, {workers} fleet workers) -> {addr} (pid {})",
+         push bound, {reactors} reactor shards) -> {addr} (pid {})",
         child.id()
     );
 
@@ -423,14 +419,7 @@ fn run() {
         epoll
             .add(stream.as_raw_fd(), id as u64, true, false, false)
             .expect("epoll add");
-        let record = cohort_member(SEED, id, seconds);
-        let samples: Vec<(f64, f64)> = record
-            .rr
-            .times()
-            .iter()
-            .copied()
-            .zip(record.rr.intervals().iter().copied())
-            .collect();
+        let samples = cohort_samples(SEED, id, seconds);
         let mut conn = ClientConn {
             stream,
             reader: FrameReader::new(),
@@ -596,7 +585,6 @@ fn run() {
              \x20   \"push_batch\": {batch},\n\
              \x20   \"push_bound\": {queue},\n\
              \x20   \"budget_j_per_interval\": {budget_j},\n\
-             \x20   \"fleet_workers\": {workers},\n\
              \x20   \"reactor_shards\": {reactors},\n\
              \x20   \"cores\": {cores},\n\
              \x20   \"samples\": {samples_sent},\n\

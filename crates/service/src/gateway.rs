@@ -52,6 +52,11 @@ use std::time::{Duration, Instant};
 pub const MAX_SESSIONS: usize = 16384;
 
 /// Gateway construction parameters.
+///
+/// The backing fleet is a single shard: every push is analysed on the
+/// reactor shard that decoded it, under the one analysis lock, so more
+/// fleet shards would only partition state. Connection-level
+/// parallelism is [`GatewayConfig::reactors`].
 #[derive(Clone, Debug)]
 pub struct GatewayConfig {
     /// Bind address; `127.0.0.1:0` (the default) picks a free loopback
@@ -60,9 +65,6 @@ pub struct GatewayConfig {
     /// The analysis configuration every stream runs
     /// ([`PsaConfig::conventional`] by default).
     pub psa: PsaConfig,
-    /// Worker shards of the backing fleet (a state partition: pushes
-    /// are analysed on the reactor shard that decoded them).
-    pub workers: usize,
     /// Session admission limits and the per-push bound.
     pub session: SessionConfig,
     /// Reactor shards (event-loop threads) the connection layer runs.
@@ -98,7 +100,6 @@ impl Default for GatewayConfig {
         GatewayConfig {
             addr: "127.0.0.1:0".into(),
             psa: PsaConfig::conventional(),
-            workers: 1,
             session: SessionConfig::default(),
             reactors: 2,
             write_buffer: 256 * 1024,
@@ -233,8 +234,7 @@ impl Gateway {
         // (budgeting 256 bytes per wire report, ~4× the actual size).
         // The clamped value is what HelloAck advertises.
         config.session.max_sessions = config.session.max_sessions.min(MAX_SESSIONS);
-        let mut fleet =
-            FleetScheduler::external(plan, config.workers).map_err(ServiceError::from)?;
+        let mut fleet = FleetScheduler::external(plan, 1).map_err(ServiceError::from)?;
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;

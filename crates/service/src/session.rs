@@ -153,9 +153,7 @@ impl SessionTable {
     /// Raw beat-time batch, through the ingest's delineate filter.
     pub(crate) fn push_beats(&mut self, id: u64, beats: &[f64]) -> Result<Pushed, ServiceError> {
         self.push(id, beats.len(), |fleet| {
-            beats.iter().try_fold(0, |accepted, &t| {
-                Ok(accepted + usize::from(fleet.push_beat(id as usize, t)?))
-            })
+            fleet.push_beat_batch(id as usize, beats)
         })
     }
 

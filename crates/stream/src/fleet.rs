@@ -1,13 +1,18 @@
 //! Multiplexing thousands of patient streams across sharded workers.
 //!
-//! [`FleetScheduler`] owns a cohort of independent streams (ingest ring +
-//! sliding engine + optional online quality controller each), partitioned
+//! [`FleetScheduler`] owns independent patient streams (ingest ring +
+//! sliding engine + optional run-time quality governor each), partitioned
 //! into [`FleetConfig::workers`] shards by a stable hash of the stream id.
-//! Each shard owns one scratch arena and is driven by its own scoped
-//! thread ([`std::thread::scope`]); every kernel — base, exact fallback,
-//! and each controller choice — comes from one [`KernelCache`] shared
-//! across all shards, so fleet scale-up and controller switches never pay
-//! kernel-construction cost. Steady-state per-window work allocates
+//! Each shard owns its streams and one scratch arena. A sample reaches a
+//! stream one way — the batch path of [`FleetScheduler::push_rr_batch`]
+//! (or its beat twin [`FleetScheduler::push_beat_batch`]) — whether the
+//! gateway pushes it or [`FleetScheduler::run`] replays the synthetic
+//! cohort, and every window, pushed or flushed at the drain, goes through
+//! one window driver. Whole-fleet steps drive each shard on its own
+//! scoped thread. Every kernel — base, exact
+//! fallback, and each governor choice — comes from one [`KernelCache`]
+//! shared across all shards, so fleet scale-up and quality switches never
+//! pay kernel-construction cost. Steady-state per-window work allocates
 //! nothing (the `fleet_throughput` bench measures this with a counting
 //! allocator), report aggregation is id-ordered so a sharded run is
 //! bit-identical to the serial one, and the aggregate cost is reported
@@ -29,7 +34,7 @@ use hrv_dsp::OpCount;
 use hrv_ecg::{Condition, PatientRecord, RrSeries, SyntheticDatabase};
 use hrv_lomb::ArrhythmiaDetector;
 use hrv_node_sim::{Battery, OperatingPoint};
-use std::collections::HashMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::fmt;
 use std::sync::Arc;
 use std::time::Instant;
@@ -129,8 +134,6 @@ struct PatientStream {
     energy_j: f64,
     /// The stream's finite energy store, when budget-governed with one.
     battery: Option<Battery>,
-    samples: Vec<(f64, f64)>,
-    cursor: usize,
     windows: u64,
     arrhythmia_windows: u64,
     ops: OpCount,
@@ -144,74 +147,30 @@ struct PatientStream {
     /// battery-low crossings, drain. Keyed to the stream's window
     /// count (never wall-clock), so shard parity holds.
     journal: EventJournal,
-    /// Budget-exhaustion edge detector (previous pump's state).
+    /// Budget-exhaustion edge detector (previous push's state).
     budget_exhausted: bool,
-    /// Battery-low edge detector (previous pump's state).
+    /// Battery-low edge detector (previous push's state).
     battery_low: bool,
-    /// Whether the drain event has been recorded (finish is idempotent).
+    /// Whether the stream has been flushed and accepted nothing since —
+    /// a drain then has nothing to do, so finishing is idempotent.
     drained: bool,
 }
 
-/// Records a quality/DVFS switch when the (backend, rail) pair in
-/// force actually changed; the journal stays quiet for directives that
-/// re-select the current point.
-fn record_switch_if_changed(
-    journal: &mut EventJournal,
-    windows: u64,
-    engine: &SlidingLomb,
-    opp: &OperatingPoint,
-    before: (usize, u64),
-    reason: SwitchReason,
-) {
-    let now = (engine.active_backend_index(), opp.voltage.to_bits());
-    if now != before {
-        journal.record(
-            windows,
-            StreamEvent::QualitySwitch {
-                backend: engine.active_backend().name().to_string(),
-                rail_v: opp.voltage,
-                reason,
-            },
-        );
-    }
-}
-
-/// Refreshes the stream's cached window-compute histogram handle,
-/// re-registering the labelled series only when the (kernel, rail) pair
-/// changed since the handle was taken — the steady state is two loads
-/// and a compare.
-fn refresh_compute_hist(patient: &mut PatientStream, instruments: &FleetInstruments) {
-    let backend = patient.engine.active_backend_index();
-    let rail_bits = patient.opp.voltage.to_bits();
-    if matches!(&patient.compute_hist, Some((b, r, _)) if *b == backend && *r == rail_bits) {
-        return;
-    }
-    let rail = format!("{:.2}V", patient.opp.voltage);
-    let hist = instruments.telemetry.histogram_with(
-        WINDOW_COMPUTE_METRIC,
-        "fleet worker time computing emitted windows, by kernel, SIMD level and DVFS rail",
-        &[
-            ("kernel", patient.engine.active_backend().name()),
-            ("simd", hrv_dsp::SimdLevel::active().as_str()),
-            ("rail", &rail),
-        ],
-    );
-    patient.compute_hist = Some((backend, rail_bits, hist));
-}
-
-/// One worker's slice of the fleet: its patients plus a private scratch
-/// arena (kernels stay shared through the fleet-wide [`KernelCache`]).
+/// One worker's slice of the fleet: its streams by id, plus the scratch
+/// arena their windows are computed in (kernels stay shared through the
+/// fleet-wide [`KernelCache`]).
 #[derive(Debug, Default)]
 struct Shard {
-    patients: Vec<PatientStream>,
+    streams: BTreeMap<usize, PatientStream>,
+    scratch: StreamScratch,
 }
 
 /// The deterministic synthetic cohort member a fleet assigns to stream
 /// `id`: alternating sinus-arrhythmia (even ids) and healthy (odd ids)
 /// patients from the seeded [`SyntheticDatabase`]. Exposed so external
 /// feeders — the `hrv-service` load generator, loopback tests — can
-/// replay exactly the samples an offline [`FleetScheduler`] run would
-/// preload, making service-vs-offline reports comparable bit for bit.
+/// replay exactly the samples an offline [`FleetScheduler`] run
+/// replays, making service-vs-offline reports comparable bit for bit.
 pub fn cohort_member(seed: u64, id: usize, duration: f64) -> PatientRecord {
     let condition = if id.is_multiple_of(2) {
         Condition::SinusArrhythmia
@@ -219,6 +178,18 @@ pub fn cohort_member(seed: u64, id: usize, duration: f64) -> PatientRecord {
         Condition::Healthy
     };
     SyntheticDatabase::new(seed).record(id, condition, duration)
+}
+
+/// The time-ordered `(t, rr)` samples of [`cohort_member`]`(seed, id,
+/// duration)` — exactly what [`FleetScheduler::run`] feeds stream `id`,
+/// so an external feeder pushing them reproduces the offline run.
+pub fn cohort_samples(seed: u64, id: usize, duration: f64) -> Vec<(f64, f64)> {
+    let rr = cohort_member(seed, id, duration).rr;
+    rr.times()
+        .iter()
+        .copied()
+        .zip(rr.intervals().iter().copied())
+        .collect()
 }
 
 /// Everything one stream has produced so far: the per-stream slice of a
@@ -581,23 +552,26 @@ pub struct FleetScheduler {
     /// energy math lives.
     profile: CostProfile,
     shards: Vec<Shard>,
-    scratches: Vec<StreamScratch>,
+    /// The synthetic cohort [`FleetScheduler::run`] replays, indexed by
+    /// stream id (empty for an external fleet and for closed streams).
+    cohort: Vec<Samples>,
     /// Prototype engine cloned into every stream (kernels stay shared
     /// Arcs through the cache), so [`FleetScheduler::open_stream`] pays
     /// no estimator/real-FFT setup.
     prototype: SlidingLomb,
-    /// Stream id → (shard, position) for the external-ingest hooks.
-    index: HashMap<usize, (usize, usize)>,
     detector: ArrhythmiaDetector,
+    /// Stream time the cohort has been replayed up to (exclusive).
     fed_until: f64,
     wall_seconds: f64,
-    finished: bool,
     /// Observability hooks, once [`FleetScheduler::set_observability`]
     /// wires them in — `None` keeps the hot path free of clock reads.
     instruments: Option<FleetInstruments>,
 }
 
-/// What the shared window-accounting sink hands back to the scheduler.
+/// One stream's time-ordered `(t, rr)` samples.
+type Samples = Vec<(f64, f64)>;
+
+/// What the window driver's accounting sink hands back to the caller.
 #[derive(Debug, Default)]
 struct SinkOutcome {
     /// Last governor directive of this batch of windows.
@@ -608,333 +582,396 @@ struct SinkOutcome {
     audit_next: bool,
 }
 
-/// The mutable per-stream accounting slots one sink writes into.
-struct WindowAccounting<'a> {
-    windows: &'a mut u64,
-    ops: &'a mut OpCount,
-    arrhythmia_windows: &'a mut u64,
-    energy_j: &'a mut f64,
-    battery: Option<&'a mut Battery>,
-    governor: Option<&'a mut Box<dyn QualityGovernor>>,
-    /// Governor-decision latency histogram, when observability is wired.
-    governor_hist: Option<&'a Histogram>,
-}
-
-/// The one window-accounting sink both `run_until` and `finish` use:
-/// counts windows/ops, applies the batch arrhythmia detector, charges the
-/// window's energy (at the operating point in force) to the stream — and
-/// its battery, when one is attached — and feeds the governor the full
-/// observation so it can react.
-fn account_windows<'a>(
-    acc: WindowAccounting<'a>,
+/// What every window computation reads and no shard writes.
+#[derive(Clone, Copy)]
+struct Drive<'a> {
     detector: ArrhythmiaDetector,
     profile: &'a CostProfile,
-    opp: OperatingPoint,
-    outcome: &'a mut SinkOutcome,
-) -> impl FnMut(&WindowView<'_>) + 'a {
-    let WindowAccounting {
-        windows,
-        ops,
-        arrhythmia_windows,
-        energy_j,
-        mut battery,
-        mut governor,
-        governor_hist,
-    } = acc;
-    move |w: &WindowView<'_>| {
-        *windows += 1;
-        *ops += w.ops;
-        if detector.detect(&w.powers) {
-            *arrhythmia_windows += 1;
-        }
-        // Energy accounting runs through the shared cost profile — the
-        // same conversion the governor's predictions use, so a budget
-        // policy compares like with like.
-        let charged = profile.window_energy(&w.ops, &opp);
-        *energy_j += charged;
-        let soc = match battery.as_deref_mut() {
-            Some(battery) => {
-                battery.harvest(profile.hop_s());
-                battery.draw(charged);
-                battery.state_of_charge()
-            }
-            None => 1.0,
-        };
-        if let Some(governor) = governor.as_deref_mut() {
-            let decision_started = governor_hist.map(|_| Instant::now());
-            let directive = governor.observe_window(&WindowObservation {
-                lf_hf: w.lf_hf_ratio(),
-                exact_lf_hf: w.exact_lf_hf,
-                energy_j: charged,
-                battery_soc: soc,
-            });
-            if let (Some(hist), Some(started)) = (governor_hist, decision_started) {
-                hist.observe_duration(started.elapsed());
-            }
-            outcome.directive = Some(directive);
-            outcome.audit_next = outcome.audit_next || governor.should_audit();
-        }
-    }
+    instruments: Option<&'a FleetInstruments>,
 }
 
-/// Drains one patient's ingest ring through its engine, applying
-/// governor directives per window. Both feed paths converge here — the
-/// preloaded-cohort loop (`advance_shard`) and the external-ingest hooks
-/// ([`FleetScheduler::push_rr`] / [`FleetScheduler::push_beat`]) — so a
-/// gateway-fed stream does bit-identical work to an offline one.
-fn pump_patient(
-    patient: &mut PatientStream,
-    scratch: &mut StreamScratch,
-    detector: ArrhythmiaDetector,
-    profile: &CostProfile,
-    instruments: Option<&FleetInstruments>,
-) {
-    while let Some((t, rr)) = patient.ingest.pop() {
-        // Observability gate: pay clock reads (and a span) only for a
-        // push that crosses a window boundary — non-emitting pushes, the
-        // vast majority, cost two f64 compares on top of the plain path.
-        let windows_before = patient.windows;
-        let timed = instruments.filter(|_| patient.engine.will_emit(t));
-        let (compute_started, compute_span) = match timed {
-            Some(ins) => {
-                // Refresh the cached (kernel, rail) histogram handle
-                // before the push; directives switch backends only after
-                // the windows they observed, so the label pair in force
-                // during the compute is the pre-push one.
-                refresh_compute_hist(patient, ins);
-                (
-                    Some(Instant::now()),
-                    Some(ins.tracer.span("window_compute")),
-                )
-            }
-            None => (None, None),
-        };
-        let PatientStream {
+/// The engine step one call of the window driver runs.
+#[derive(Clone, Copy)]
+enum Step {
+    /// Feed one clean `(t, rr)` sample.
+    Push(f64, f64),
+    /// Flush the trailing windows (batch parity).
+    Finish,
+}
+
+/// The ingest gate of a pre-computed `(t, rr)` sample.
+fn gate_rr(ingest: &mut RrIngest, &(t, rr): &(f64, f64)) -> bool {
+    ingest.push_rr(t, rr)
+}
+
+/// The ingest gate of a raw beat time (delineate-rule gating).
+fn gate_beat(ingest: &mut RrIngest, &t: &f64) -> bool {
+    ingest.push_beat(t)
+}
+
+impl PatientStream {
+    fn new(id: usize, engine: SlidingLomb, opp: OperatingPoint) -> Self {
+        PatientStream {
+            id,
+            ingest: RrIngest::new(),
             engine,
-            governor,
-            choice_backends,
-            exact_index,
+            governor: None,
+            choice_backends: Vec::new(),
+            exact_index: 0,
             opp,
-            energy_j,
-            battery,
-            windows,
-            arrhythmia_windows,
-            ops,
-            compute_hist: cached_hist,
-            journal,
-            budget_exhausted,
-            battery_low,
-            ..
-        } = patient;
-        let mut outcome = SinkOutcome::default();
-        {
-            let mut sink = account_windows(
-                WindowAccounting {
-                    windows: &mut *windows,
-                    ops,
-                    arrhythmia_windows,
-                    energy_j,
-                    battery: battery.as_mut(),
-                    governor: governor.as_mut(),
-                    governor_hist: timed.map(|ins| &ins.governor_hist),
-                },
-                detector,
-                profile,
-                *opp,
-                &mut outcome,
-            );
-            engine.push(t, rr, scratch, &mut sink);
+            energy_j: 0.0,
+            battery: None,
+            windows: 0,
+            arrhythmia_windows: 0,
+            ops: OpCount::default(),
+            compute_hist: None,
+            journal: EventJournal::new(EVENT_JOURNAL_CAPACITY),
+            budget_exhausted: false,
+            battery_low: false,
+            drained: false,
         }
-        // A boundary-crossing push can still emit nothing (skip rules);
-        // only real window computes are timed, so `_count` equals the
-        // number of emitting pushes — a span/sample per computed batch.
-        let emitted = *windows > windows_before;
-        match (compute_span, emitted) {
-            (Some(span), false) => span.cancel(),
-            (span, _) => drop(span),
-        }
-        if emitted {
-            if let (Some(started), Some((_, _, hist))) = (compute_started, cached_hist.as_ref()) {
-                hist.observe_duration(started.elapsed());
+    }
+
+    /// The batch feed path: gates each sample into the ingest ring and
+    /// drives every window the accepted ones complete, steering the
+    /// stream by what those windows decided. Returns how many samples
+    /// passed the gate.
+    fn push_batch<T>(
+        &mut self,
+        samples: &[T],
+        gate: fn(&mut RrIngest, &T) -> bool,
+        scratch: &mut StreamScratch,
+        drive: Drive<'_>,
+    ) -> usize {
+        let mut accepted = 0;
+        for sample in samples {
+            if !gate(&mut self.ingest, sample) {
+                continue;
+            }
+            accepted += 1;
+            self.drained = false;
+            while let Some((t, rr)) = self.ingest.pop() {
+                let outcome = self.step(Step::Push(t, rr), scratch, drive);
+                self.steer(outcome);
             }
         }
+        accepted
+    }
+
+    /// Flushes the trailing windows and records the drain; a stream that
+    /// accepted nothing since its last drain is left alone. Trailing
+    /// windows still feed the governor so its statistics cover everything
+    /// the report counts; its directive has nothing left to steer.
+    fn finish(&mut self, scratch: &mut StreamScratch, drive: Drive<'_>) {
+        if self.drained {
+            return;
+        }
+        self.step(Step::Finish, scratch, drive);
+        self.drained = true;
+        self.journal.record(
+            self.windows,
+            StreamEvent::Drain {
+                windows: self.windows,
+            },
+        );
+    }
+
+    /// The window driver. Builds the accounting sink — count windows and
+    /// ops, apply the batch arrhythmia detector, charge each window's
+    /// energy (at the operating point in force) to the stream and its
+    /// battery, feed the governor the full observation — runs the engine
+    /// step through it, and times the step when it emits.
+    fn step(&mut self, step: Step, scratch: &mut StreamScratch, drive: Drive<'_>) -> SinkOutcome {
+        // Observability gate: pay clock reads (and a span) only for a
+        // step that can emit — a flush, or a push crossing a window
+        // boundary. Non-emitting pushes, the vast majority, cost two f64
+        // compares on top of the plain path.
+        let timed = drive.instruments.filter(|_| match step {
+            Step::Push(t, _) => self.engine.will_emit(t),
+            Step::Finish => true,
+        });
+        let compute = timed.map(|ins| {
+            // Directives switch backends only after the windows they
+            // observed, so the label pair in force during the compute is
+            // the pre-step one.
+            self.refresh_compute_hist(ins);
+            (Instant::now(), ins.tracer.span("window_compute"))
+        });
+        let governor_hist = timed.map(|ins| &ins.governor_hist);
+        let windows_before = self.windows;
+        let opp = self.opp;
+        let mut outcome = SinkOutcome::default();
+        let mut sink = |w: &WindowView<'_>| {
+            self.windows += 1;
+            self.ops += w.ops;
+            if drive.detector.detect(&w.powers) {
+                self.arrhythmia_windows += 1;
+            }
+            // Energy accounting runs through the shared cost profile —
+            // the same conversion the governor's predictions use, so a
+            // budget policy compares like with like.
+            let charged = drive.profile.window_energy(&w.ops, &opp);
+            self.energy_j += charged;
+            let soc = match self.battery.as_mut() {
+                Some(battery) => {
+                    battery.harvest(drive.profile.hop_s());
+                    battery.draw(charged);
+                    battery.state_of_charge()
+                }
+                None => 1.0,
+            };
+            if let Some(governor) = self.governor.as_deref_mut() {
+                let decision_started = governor_hist.map(|_| Instant::now());
+                let directive = governor.observe_window(&WindowObservation {
+                    lf_hf: w.lf_hf_ratio(),
+                    exact_lf_hf: w.exact_lf_hf,
+                    energy_j: charged,
+                    battery_soc: soc,
+                });
+                if let (Some(hist), Some(started)) = (governor_hist, decision_started) {
+                    hist.observe_duration(started.elapsed());
+                }
+                outcome.directive = Some(directive);
+                outcome.audit_next = outcome.audit_next || governor.should_audit();
+            }
+        };
+        match step {
+            Step::Push(t, rr) => self.engine.push(t, rr, scratch, &mut sink),
+            Step::Finish => self.engine.finish(scratch, &mut sink),
+        };
+        // A step that can emit may still emit nothing (skip rules, no
+        // trailing window); only real window computes are timed, so
+        // `_count` equals the number of emitting steps.
+        if let Some((started, span)) = compute {
+            if self.windows == windows_before {
+                span.cancel();
+            } else {
+                drop(span);
+                if let Some((_, _, hist)) = &self.compute_hist {
+                    hist.observe_duration(started.elapsed());
+                }
+            }
+        }
+        outcome
+    }
+
+    /// Applies what a push's windows decided: the governor's directive,
+    /// then the budget and battery edge checks, then the audit request.
+    fn steer(&mut self, outcome: SinkOutcome) {
         if let Some(directive) = outcome.directive {
-            let before = (engine.active_backend_index(), opp.voltage.to_bits());
-            apply_choice(engine, directive.choice, choice_backends, *exact_index);
-            *opp = directive.opp;
-            record_switch_if_changed(
-                journal,
-                *windows,
-                engine,
-                opp,
-                before,
-                SwitchReason::Governor,
-            );
+            let before = self.operating_key();
+            self.apply_choice(directive.choice);
+            self.opp = directive.opp;
+            self.record_switch_since(before, SwitchReason::Governor);
         }
         // Edge-detected forensics: budget exhaustion and battery-low are
         // recorded once per crossing, re-arming when the condition
         // clears (a new budget interval, a harvesting recharge). Both
         // derive from per-stream deterministic state, so the journal is
         // shard-parity safe.
-        if let Some(state) = governor.as_ref().and_then(|g| g.budget()) {
+        if let Some(state) = self.governor.as_ref().and_then(|g| g.budget()) {
             let exhausted = state.budget_j > 0.0 && state.spent_j >= state.budget_j;
-            if exhausted && !*budget_exhausted {
-                journal.record(
-                    *windows,
+            if exhausted && !self.budget_exhausted {
+                self.journal.record(
+                    self.windows,
                     StreamEvent::BudgetExhausted {
                         spent_j: state.spent_j,
                         budget_j: state.budget_j,
                     },
                 );
             }
-            *budget_exhausted = exhausted;
+            self.budget_exhausted = exhausted;
         }
-        if let Some(b) = battery.as_ref() {
-            let soc = b.state_of_charge();
+        if let Some(soc) = self.battery.as_ref().map(Battery::state_of_charge) {
             let low = soc < BATTERY_LOW_SOC;
-            if low && !*battery_low {
-                journal.record(*windows, StreamEvent::BatteryLow { soc });
+            if low && !self.battery_low {
+                self.journal
+                    .record(self.windows, StreamEvent::BatteryLow { soc });
             }
-            *battery_low = low;
+            self.battery_low = low;
         }
         if outcome.audit_next {
-            engine.request_audit();
+            self.engine.request_audit();
         }
     }
-}
 
-/// Advances every patient of one shard to stream-time `t_limit`. Returns
-/// `true` while any of the shard's streams still has samples left.
-fn advance_shard(
-    shard: &mut Shard,
-    scratch: &mut StreamScratch,
-    t_limit: f64,
-    detector: ArrhythmiaDetector,
-    profile: &CostProfile,
-    instruments: Option<&FleetInstruments>,
-) -> bool {
-    let mut remaining = false;
-    for patient in &mut shard.patients {
-        while patient.cursor < patient.samples.len() {
-            let (t, rr) = patient.samples[patient.cursor];
-            if t >= t_limit {
-                break;
-            }
-            patient.cursor += 1;
-            if patient.ingest.push_rr(t, rr) {
-                pump_patient(patient, scratch, detector, profile, instruments);
-            }
+    /// Refreshes the cached window-compute histogram handle,
+    /// re-registering the labelled series only when the (kernel, rail)
+    /// pair changed since the handle was taken — the steady state is two
+    /// loads and a compare.
+    fn refresh_compute_hist(&mut self, instruments: &FleetInstruments) {
+        let (backend, rail_bits) = self.operating_key();
+        if matches!(&self.compute_hist, Some((b, r, _)) if *b == backend && *r == rail_bits) {
+            return;
         }
-        if patient.cursor < patient.samples.len() {
-            remaining = true;
-        }
-    }
-    remaining
-}
-
-/// Flushes one patient's trailing windows (batch parity). Trailing
-/// windows still feed the governor so its statistics cover everything
-/// the report counts; its directive has nothing left to steer.
-fn finish_patient(
-    patient: &mut PatientStream,
-    scratch: &mut StreamScratch,
-    detector: ArrhythmiaDetector,
-    profile: &CostProfile,
-    instruments: Option<&FleetInstruments>,
-) {
-    let windows_before = patient.windows;
-    let timed = instruments;
-    let (compute_started, compute_span) = match timed {
-        Some(ins) => {
-            refresh_compute_hist(patient, ins);
-            (
-                Some(Instant::now()),
-                Some(ins.tracer.span("window_compute")),
-            )
-        }
-        None => (None, None),
-    };
-    let PatientStream {
-        engine,
-        governor,
-        opp,
-        energy_j,
-        battery,
-        windows,
-        arrhythmia_windows,
-        ops,
-        compute_hist: cached_hist,
-        journal,
-        drained,
-        ..
-    } = patient;
-    let mut outcome = SinkOutcome::default();
-    {
-        let mut sink = account_windows(
-            WindowAccounting {
-                windows: &mut *windows,
-                ops,
-                arrhythmia_windows,
-                energy_j,
-                battery: battery.as_mut(),
-                governor: governor.as_mut(),
-                governor_hist: timed.map(|ins| &ins.governor_hist),
-            },
-            detector,
-            profile,
-            *opp,
-            &mut outcome,
+        let rail = format!("{:.2}V", self.opp.voltage);
+        let hist = instruments.telemetry.histogram_with(
+            WINDOW_COMPUTE_METRIC,
+            "fleet worker time computing emitted windows, by kernel, SIMD level and DVFS rail",
+            &[
+                ("kernel", self.engine.active_backend().name()),
+                ("simd", hrv_dsp::SimdLevel::active().as_str()),
+                ("rail", &rail),
+            ],
         );
-        engine.finish(scratch, &mut sink);
+        self.compute_hist = Some((backend, rail_bits, hist));
     }
-    // Most streams have no trailing window to flush; time (and trace)
-    // only the finishes that actually computed one.
-    let emitted = *windows > windows_before;
-    match (compute_span, emitted) {
-        (Some(span), false) => span.cancel(),
-        (span, _) => drop(span),
+
+    /// The (backend, rail) pair in force — what a quality switch changes.
+    fn operating_key(&self) -> (usize, u64) {
+        (
+            self.engine.active_backend_index(),
+            self.opp.voltage.to_bits(),
+        )
     }
-    if emitted {
-        if let (Some(started), Some((_, _, hist))) = (compute_started, cached_hist.as_ref()) {
-            hist.observe_duration(started.elapsed());
+
+    /// Records a quality/DVFS switch when the operating pair changed
+    /// since `before`; the journal stays quiet for directives that
+    /// re-select the current point.
+    fn record_switch_since(&mut self, before: (usize, u64), reason: SwitchReason) {
+        if self.operating_key() != before {
+            self.journal.record(
+                self.windows,
+                StreamEvent::QualitySwitch {
+                    backend: self.engine.active_backend().name().to_string(),
+                    rail_v: self.opp.voltage,
+                    reason,
+                },
+            );
         }
     }
-    // Record the drain exactly once — `finish` is idempotent and close
-    // paths re-finish already-finished streams.
-    if !*drained {
-        *drained = true;
-        journal.record(*windows, StreamEvent::Drain { windows: *windows });
-    }
-}
 
-/// Flushes the trailing windows of one shard's patients (batch parity).
-fn finish_shard(
-    shard: &mut Shard,
-    scratch: &mut StreamScratch,
-    detector: ArrhythmiaDetector,
-    profile: &CostProfile,
-    instruments: Option<&FleetInstruments>,
-) {
-    for patient in &mut shard.patients {
-        finish_patient(patient, scratch, detector, profile, instruments);
+    /// Installs the kernel a governor choice maps to (`None` = exact).
+    fn apply_choice(&mut self, choice: Option<OperatingChoice>) {
+        let index = choice
+            .and_then(|c| self.choice_index(c))
+            .unwrap_or(self.exact_index);
+        self.engine.set_active_backend(index);
     }
-}
 
-/// The per-stream report of one patient's current state.
-fn report_of(patient: &PatientStream) -> StreamReport {
-    StreamReport {
-        id: patient.id,
-        windows: patient.windows,
-        arrhythmia_windows: patient.arrhythmia_windows,
-        ops: patient.ops,
-        energy_j: patient.energy_j,
-        battery: patient.battery.as_ref().map(|b| BatteryStatus {
+    /// The engine backend index registered for `choice`, if any.
+    fn choice_index(&self, choice: OperatingChoice) -> Option<usize> {
+        self.choice_backends
+            .iter()
+            .find(|(known, _)| *known == choice)
+            .map(|&(_, idx)| idx)
+    }
+
+    /// The engine backend index of `choice`, registering `backend` for
+    /// it on first use.
+    fn register_choice(
+        &mut self,
+        choice: OperatingChoice,
+        backend: &Arc<dyn hrv_dsp::FftBackend>,
+    ) -> usize {
+        self.choice_index(choice).unwrap_or_else(|| {
+            let idx = self.engine.add_backend(backend.clone());
+            self.choice_backends.push((choice, idx));
+            idx
+        })
+    }
+
+    /// Wires a governor onto the stream: registers the exact fallback and
+    /// every runnable choice kernel on its engine (cache-shared Arcs,
+    /// deduped against kernels already registered), applies the
+    /// governor's initial directive, and attaches the battery.
+    fn attach_governor(
+        &mut self,
+        governor: Box<dyn QualityGovernor>,
+        shared: &[(OperatingChoice, Arc<dyn hrv_dsp::FftBackend>)],
+        exact: &Arc<dyn hrv_dsp::FftBackend>,
+        battery: Option<Battery>,
+    ) {
+        // Reuse any exact kernel this engine already knows (the
+        // construction kernel, or the one a previous attachment
+        // registered) — repeated SetBudget/quality-control attachments
+        // must not grow the backend list.
+        self.exact_index = if self.engine.backend_at(self.exact_index).is_exact() {
+            self.exact_index
+        } else if self.engine.active_backend().is_exact() {
+            self.engine.active_backend_index()
+        } else {
+            self.engine.add_backend(exact.clone())
+        };
+        for (choice, backend) in shared {
+            self.register_choice(*choice, backend);
+        }
+        let before = self.operating_key();
+        self.apply_choice(governor.current());
+        self.opp = governor.operating_point();
+        self.record_switch_since(before, SwitchReason::Operator);
+        self.battery = battery;
+        self.governor = Some(governor);
+    }
+
+    fn battery_status(&self) -> Option<BatteryStatus> {
+        self.battery.as_ref().map(|b| BatteryStatus {
             charge_j: b.charge_j(),
             capacity_j: b.capacity_j(),
-        }),
-        ingest: patient.ingest.stats(),
-        backend: patient.engine.active_backend().name().to_string(),
+        })
     }
+
+    /// The per-stream report of the stream's current state.
+    fn report(&self) -> StreamReport {
+        StreamReport {
+            id: self.id,
+            windows: self.windows,
+            arrhythmia_windows: self.arrhythmia_windows,
+            ops: self.ops,
+            energy_j: self.energy_j,
+            battery: self.battery_status(),
+            ingest: self.ingest.stats(),
+            backend: self.engine.active_backend().name().to_string(),
+        }
+    }
+}
+
+impl Shard {
+    /// Replays the cohort samples in `[from, to)` to every stream of the
+    /// shard that has any; streams without cohort samples (opened
+    /// externally) are skipped. Returns `true` while any of them still
+    /// has samples left.
+    fn replay(&mut self, cohort: &[Samples], from: f64, to: f64, drive: Drive<'_>) -> bool {
+        let mut remaining = false;
+        for (&id, stream) in &mut self.streams {
+            let Some(samples) = cohort.get(id) else {
+                continue;
+            };
+            let start = samples.partition_point(|&(t, _)| t < from);
+            let end = samples.partition_point(|&(t, _)| t < to).max(start);
+            stream.push_batch(&samples[start..end], gate_rr, &mut self.scratch, drive);
+            remaining |= end < samples.len();
+        }
+        remaining
+    }
+
+    /// Drains every stream of the shard.
+    fn finish(&mut self, drive: Drive<'_>) {
+        for stream in self.streams.values_mut() {
+            stream.finish(&mut self.scratch, drive);
+        }
+    }
+}
+
+/// Runs `work` on every shard — inline for one shard, on one scoped
+/// thread per shard for more — and reports whether any call returned
+/// `true`.
+fn fan_out(shards: &mut [Shard], work: impl Fn(&mut Shard) -> bool + Sync) -> bool {
+    if let [shard] = shards {
+        return work(shard);
+    }
+    let work = &work;
+    std::thread::scope(|s| {
+        let handles: Vec<_> = shards
+            .iter_mut()
+            .map(|shard| s.spawn(move || work(shard)))
+            .collect();
+        handles
+            .into_iter()
+            // analyze::allow(panic-free-wire): swallowing a worker panic would silently lose a shard's samples; propagating it is the only honest outcome
+            .map(|h| h.join().expect("fleet worker panicked"))
+            .fold(false, |acc, r| acc | r)
+    })
 }
 
 impl FleetScheduler {
@@ -963,7 +1000,9 @@ impl FleetScheduler {
     /// dynamic-pruning base configuration (pass a plan built with
     /// [`SpectralPlan::calibrated`]). The plan's training corpus, when
     /// present, also serves [`FleetScheduler::with_quality_control`]'s
-    /// dynamic operating points.
+    /// dynamic operating points. The cohort is synthesised here and
+    /// opened through [`FleetScheduler::open_stream`]; [`FleetScheduler::run`]
+    /// later feeds it through the same batch path an external feeder uses.
     ///
     /// # Errors
     ///
@@ -983,32 +1022,24 @@ impl FleetScheduler {
         // streams ≥ 1 here, so this is 0 only for zero configured
         // workers — which `build` rejects.
         let workers = fleet.workers.min(fleet.streams);
-        let streams = fleet.streams;
-        let (seed, duration) = (fleet.seed, fleet.duration);
+        let cohort = (0..fleet.streams)
+            .map(|id| cohort_samples(fleet.seed, id, fleet.duration))
+            .collect();
         let mut scheduler = Self::build(plan, fleet, workers)?;
-        for id in 0..streams {
-            let record = cohort_member(seed, id, duration);
-            let samples = record
-                .rr
-                .times()
-                .iter()
-                .copied()
-                .zip(record.rr.intervals().iter().copied())
-                .collect();
-            scheduler.insert_stream(id, samples)?;
+        for id in 0..scheduler.fleet.streams {
+            scheduler.open_stream(id)?;
         }
+        scheduler.cohort = cohort;
         Ok(scheduler)
     }
 
-    /// Builds an **externally fed** fleet: no synthetic cohort, no
-    /// preloaded samples. Streams are opened with
-    /// [`FleetScheduler::open_stream`] and fed one sample at a time with
-    /// [`FleetScheduler::push_rr`] / [`FleetScheduler::push_beat`] — the
-    /// ingestion path the `hrv-service` gateway drives on every wire
-    /// push. Each pushed sample runs through the same plausibility
-    /// gate, engine and accounting sink as a preloaded cohort, so
-    /// per-stream reports are bit-identical to an offline run over the
-    /// same samples.
+    /// Builds an **externally fed** fleet: no synthetic cohort. Streams
+    /// are opened with [`FleetScheduler::open_stream`] and fed batches
+    /// with [`FleetScheduler::push_rr_batch`] /
+    /// [`FleetScheduler::push_beat_batch`] — the ingestion path the
+    /// `hrv-service` gateway drives on every wire push, and the one
+    /// [`FleetScheduler::run`] replays a cohort through, so per-stream
+    /// reports are bit-identical to an offline run over the same samples.
     ///
     /// # Errors
     ///
@@ -1036,8 +1067,6 @@ impl FleetScheduler {
         }
         let cache = KernelCache::new();
         let prototype = SlidingLomb::from_plan(&plan, &cache)?;
-        let shards: Vec<Shard> = (0..workers).map(|_| Shard::default()).collect();
-        let scratches = (0..workers).map(|_| StreamScratch::new()).collect();
         let node = NodeModel::default();
         let profile = cache.cost_profile(&plan, &node);
         Ok(FleetScheduler {
@@ -1046,145 +1075,113 @@ impl FleetScheduler {
             fleet,
             node,
             profile,
-            shards,
-            scratches,
+            shards: (0..workers).map(|_| Shard::default()).collect(),
+            cohort: Vec::new(),
             prototype,
-            index: HashMap::new(),
             detector: ArrhythmiaDetector::default(),
             fed_until: 0.0,
             wall_seconds: 0.0,
-            finished: false,
             instruments: None,
         })
     }
 
-    /// Registers a stream with preloaded samples (empty for external
-    /// streams) on its stable shard.
-    fn insert_stream(&mut self, id: usize, samples: Vec<(f64, f64)>) -> Result<(), PsaError> {
-        if self.index.contains_key(&id) {
-            return Err(PsaError::DuplicateStream(id as u64));
-        }
+    /// The shards, mutably, beside the cohort and what the window driver
+    /// reads.
+    fn split(&mut self) -> (&mut [Shard], &[Samples], Drive<'_>) {
+        let drive = Drive {
+            detector: self.detector,
+            profile: &self.profile,
+            instruments: self.instruments.as_ref(),
+        };
+        (&mut self.shards, &self.cohort, drive)
+    }
+
+    fn stream(&self, id: usize) -> Result<&PatientStream, PsaError> {
+        self.shards[shard_of(id, self.shards.len())]
+            .streams
+            .get(&id)
+            .ok_or(PsaError::UnknownStream(id as u64))
+    }
+
+    fn stream_mut(&mut self, id: usize) -> Result<&mut PatientStream, PsaError> {
         let shard = shard_of(id, self.shards.len());
-        self.shards[shard].patients.push(PatientStream {
-            id,
-            ingest: RrIngest::new(),
-            engine: self.prototype.clone(),
-            governor: None,
-            choice_backends: Vec::new(),
-            exact_index: 0,
-            opp: self.node.dvfs.nominal(),
-            energy_j: 0.0,
-            battery: None,
-            samples,
-            cursor: 0,
-            windows: 0,
-            arrhythmia_windows: 0,
-            ops: OpCount::default(),
-            compute_hist: None,
-            journal: EventJournal::new(EVENT_JOURNAL_CAPACITY),
-            budget_exhausted: false,
-            battery_low: false,
-            drained: false,
-        });
-        self.index
-            .insert(id, (shard, self.shards[shard].patients.len() - 1));
-        Ok(())
+        self.shards[shard]
+            .streams
+            .get_mut(&id)
+            .ok_or(PsaError::UnknownStream(id as u64))
+    }
+
+    /// Every open stream, shard by shard.
+    fn patients(&self) -> impl Iterator<Item = &PatientStream> {
+        self.shards.iter().flat_map(|s| s.streams.values())
+    }
+
+    fn patients_mut(&mut self) -> impl Iterator<Item = &mut PatientStream> {
+        self.shards.iter_mut().flat_map(|s| s.streams.values_mut())
     }
 
     /// Opens an externally fed stream. Also usable on a cohort fleet to
-    /// add live streams next to the preloaded ones.
+    /// add live streams next to the cohort's.
     ///
     /// # Errors
     ///
     /// Returns [`PsaError::DuplicateStream`] when `id` is already open.
     pub fn open_stream(&mut self, id: usize) -> Result<(), PsaError> {
-        self.insert_stream(id, Vec::new())
+        let shard = shard_of(id, self.shards.len());
+        match self.shards[shard].streams.entry(id) {
+            Entry::Occupied(_) => Err(PsaError::DuplicateStream(id as u64)),
+            Entry::Vacant(slot) => {
+                slot.insert(PatientStream::new(
+                    id,
+                    self.prototype.clone(),
+                    self.node.dvfs.nominal(),
+                ));
+                Ok(())
+            }
+        }
     }
 
-    /// Feeds one pre-computed RR interval (ending at beat time `t`) to
-    /// stream `id`, driving every window it completes through the same
-    /// accounting path as an offline run. Returns whether the sample
-    /// passed the ingest plausibility gate.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsaError::UnknownStream`] when `id` is not open.
-    pub fn push_rr(&mut self, id: usize, t: f64, rr: f64) -> Result<bool, PsaError> {
-        self.feed(id, |ingest| ingest.push_rr(t, rr))
-    }
-
-    /// Feeds one raw detected beat time to stream `id` (delineate-rule
-    /// gating, as [`RrIngest::push_beat`]). Returns whether the beat
-    /// completed a plausible interval.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PsaError::UnknownStream`] when `id` is not open.
-    pub fn push_beat(&mut self, id: usize, t: f64) -> Result<bool, PsaError> {
-        self.feed(id, |ingest| ingest.push_beat(t))
-    }
-
-    /// Feeds a whole batch of pre-computed RR samples to stream `id` —
-    /// one index lookup and one wall-clock measurement for the entire
-    /// batch, so a high-rate feeder (the `hrv-service` gateway hands
-    /// each wire push over here) does not pay per-sample overhead.
-    /// Samples run through exactly the gate + engine path of
-    /// [`FleetScheduler::push_rr`]; returns how many passed the gate.
+    /// Feeds a batch of pre-computed `(beat time, RR)` samples to stream
+    /// `id`, driving every window they complete through the same
+    /// accounting path as an offline run — one lookup and one wall-clock
+    /// measurement per batch, so a high-rate feeder (the `hrv-service`
+    /// gateway hands each wire push over here) does not pay per-sample
+    /// overhead. A one-sample batch is the per-sample feed. Returns how
+    /// many samples passed the ingest plausibility gate.
     ///
     /// # Errors
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn push_rr_batch(&mut self, id: usize, samples: &[(f64, f64)]) -> Result<usize, PsaError> {
-        let started = Instant::now();
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        let detector = self.detector;
-        let mut accepted = 0usize;
-        {
-            let patient = &mut self.shards[shard].patients[pos];
-            let scratch = &mut self.scratches[shard];
-            for &(t, rr) in samples {
-                if patient.ingest.push_rr(t, rr) {
-                    pump_patient(
-                        patient,
-                        scratch,
-                        detector,
-                        &self.profile,
-                        self.instruments.as_ref(),
-                    );
-                    accepted += 1;
-                }
-            }
-        }
-        self.wall_seconds += started.elapsed().as_secs_f64();
-        Ok(accepted)
+        self.push_batch(id, samples, gate_rr)
     }
 
-    /// The shared external-ingest path: gate the sample, then drain the
-    /// ring through the engine with the stream's shard scratch.
-    fn feed(
+    /// Feeds a batch of raw detected beat times to stream `id`
+    /// (delineate-rule gating, as [`RrIngest::push_beat`]) through the
+    /// path of [`FleetScheduler::push_rr_batch`]. Returns how many beats
+    /// completed a plausible interval.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PsaError::UnknownStream`] when `id` is not open.
+    pub fn push_beat_batch(&mut self, id: usize, beats: &[f64]) -> Result<usize, PsaError> {
+        self.push_batch(id, beats, gate_beat)
+    }
+
+    fn push_batch<T>(
         &mut self,
         id: usize,
-        gate: impl FnOnce(&mut RrIngest) -> bool,
-    ) -> Result<bool, PsaError> {
+        samples: &[T],
+        gate: fn(&mut RrIngest, &T) -> bool,
+    ) -> Result<usize, PsaError> {
         let started = Instant::now();
-        let &(shard, pos) = self
-            .index
-            .get(&id)
+        let (shards, _, drive) = self.split();
+        let shard = &mut shards[shard_of(id, shards.len())];
+        let stream = shard
+            .streams
+            .get_mut(&id)
             .ok_or(PsaError::UnknownStream(id as u64))?;
-        let patient = &mut self.shards[shard].patients[pos];
-        let accepted = gate(&mut patient.ingest);
-        if accepted {
-            pump_patient(
-                patient,
-                &mut self.scratches[shard],
-                self.detector,
-                &self.profile,
-                self.instruments.as_ref(),
-            );
-        }
+        let accepted = stream.push_batch(samples, gate, &mut shard.scratch, drive);
         self.wall_seconds += started.elapsed().as_secs_f64();
         Ok(accepted)
     }
@@ -1211,34 +1208,11 @@ impl FleetScheduler {
             expected_savings_pct: 0.0,
         };
         let backend = self.cache.backend_for_choice(&self.plan, &choice)?;
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        let patient = &mut self.shards[shard].patients[pos];
-        let index = patient
-            .choice_backends
-            .iter()
-            .find(|(known, _)| *known == choice)
-            .map(|&(_, idx)| idx)
-            .unwrap_or_else(|| {
-                let idx = patient.engine.add_backend(backend);
-                patient.choice_backends.push((choice, idx));
-                idx
-            });
-        let before = (
-            patient.engine.active_backend_index(),
-            patient.opp.voltage.to_bits(),
-        );
+        let patient = self.stream_mut(id)?;
+        let index = patient.register_choice(choice, &backend);
+        let before = patient.operating_key();
         patient.engine.set_active_backend(index);
-        record_switch_if_changed(
-            &mut patient.journal,
-            patient.windows,
-            &patient.engine,
-            &patient.opp,
-            before,
-            SwitchReason::Operator,
-        );
+        patient.record_switch_since(before, SwitchReason::Operator);
         Ok(patient.engine.active_backend().name().to_string())
     }
 
@@ -1252,11 +1226,7 @@ impl FleetScheduler {
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn stream_events(&self, id: usize) -> Result<Vec<EventRecord>, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        Ok(self.shards[shard].patients[pos].journal.events())
+        Ok(self.stream(id)?.journal.events())
     }
 
     /// The current per-stream report of stream `id` (no finishing — the
@@ -1266,52 +1236,37 @@ impl FleetScheduler {
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn stream_report(&self, id: usize) -> Result<StreamReport, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        Ok(report_of(&self.shards[shard].patients[pos]))
+        Ok(self.stream(id)?.report())
     }
 
     /// Per-stream reports of every open stream, id-ordered regardless of
     /// sharding (the per-stream counterpart of [`FleetScheduler::report`]).
     pub fn stream_reports(&self) -> Vec<StreamReport> {
-        let mut reports: Vec<StreamReport> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.patients.iter().map(report_of))
-            .collect();
+        let mut reports: Vec<StreamReport> = self.patients().map(PatientStream::report).collect();
         reports.sort_by_key(|r| r.id);
         reports
     }
 
     /// Flushes stream `id`'s trailing windows (batch parity), removes it
-    /// from the fleet and returns its final report.
+    /// from the fleet and returns its final report. A closed cohort
+    /// stream drops its remaining cohort samples, so an id opened again
+    /// later is an external stream.
     ///
     /// # Errors
     ///
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn close_stream(&mut self, id: usize) -> Result<StreamReport, PsaError> {
-        let detector = self.detector;
-        let &(shard, pos) = self
-            .index
-            .get(&id)
+        let (shards, _, drive) = self.split();
+        let shard = &mut shards[shard_of(id, shards.len())];
+        let mut stream = shard
+            .streams
+            .remove(&id)
             .ok_or(PsaError::UnknownStream(id as u64))?;
-        let patient = &mut self.shards[shard].patients[pos];
-        finish_patient(
-            patient,
-            &mut self.scratches[shard],
-            detector,
-            &self.profile,
-            self.instruments.as_ref(),
-        );
-        let report = report_of(patient);
-        self.index.remove(&id);
-        self.shards[shard].patients.swap_remove(pos);
-        if let Some(moved) = self.shards[shard].patients.get(pos) {
-            self.index.insert(moved.id, (shard, pos));
+        stream.finish(&mut shard.scratch, drive);
+        if let Some(samples) = self.cohort.get_mut(id) {
+            *samples = Vec::new();
         }
-        Ok(report)
+        Ok(stream.report())
     }
 
     /// Graceful fleet drain: flushes every stream's trailing windows
@@ -1324,9 +1279,9 @@ impl FleetScheduler {
         self.finish();
         let reports = self.stream_reports();
         for shard in &mut self.shards {
-            shard.patients.clear();
+            shard.streams.clear();
         }
-        self.index.clear();
+        self.cohort.clear();
         reports
     }
 
@@ -1344,12 +1299,7 @@ impl FleetScheduler {
     /// were resolved without this corpus, so attaching it now would
     /// silently change nothing).
     pub fn with_training(mut self, cohort: &[RrSeries]) -> Result<Self, PsaError> {
-        if self
-            .shards
-            .iter()
-            .flat_map(|s| &s.patients)
-            .any(|p| p.governor.is_some())
-        {
+        if self.patients().any(|p| p.governor.is_some()) {
             return Err(PsaError::InvalidConfig(
                 "attach training before with_quality_control: governors already \
                  resolved their operating choices without it"
@@ -1381,12 +1331,10 @@ impl FleetScheduler {
         let inner = inner.retain_choices(|c| runnable.contains(c));
         let exact = self.cache.exact(self.plan.fft_len());
         let nominal = self.node.dvfs.nominal();
-        for shard in &mut self.shards {
-            for patient in &mut shard.patients {
-                let governor =
-                    DistortionGovernor::new(inner.clone(), qdes_pct).with_operating_point(nominal);
-                attach_governor(patient, Box::new(governor), &shared, &exact, None);
-            }
+        for patient in self.patients_mut() {
+            let governor =
+                DistortionGovernor::new(inner.clone(), qdes_pct).with_operating_point(nominal);
+            patient.attach_governor(Box::new(governor), &shared, &exact, None);
         }
         self
     }
@@ -1477,21 +1425,13 @@ impl FleetScheduler {
         let shared = self.resolve_runnable(&choices);
         let exact = self.cache.exact(self.plan.fft_len());
         let candidates = self.budget_candidates(&shared, &exact);
-        for shard in &mut self.shards {
-            for patient in &mut shard.patients {
-                let governor = EnergyBudgetGovernor::new(
-                    candidates.clone(),
-                    budget.joules_per_interval,
-                    budget.interval_windows,
-                );
-                attach_governor(
-                    patient,
-                    Box::new(governor),
-                    &shared,
-                    &exact,
-                    budget.battery(),
-                );
-            }
+        for patient in self.patients_mut() {
+            let governor = EnergyBudgetGovernor::new(
+                candidates.clone(),
+                budget.joules_per_interval,
+                budget.interval_windows,
+            );
+            patient.attach_governor(Box::new(governor), &shared, &exact, budget.battery());
         }
         Ok(self)
     }
@@ -1514,23 +1454,13 @@ impl FleetScheduler {
         let shared = self.resolve_runnable(&Self::static_budget_choices());
         let exact = self.cache.exact(self.plan.fft_len());
         let candidates = self.budget_candidates(&shared, &exact);
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        let patient = &mut self.shards[shard].patients[pos];
+        let patient = self.stream_mut(id)?;
         let governor = EnergyBudgetGovernor::new(
             candidates,
             budget.joules_per_interval,
             budget.interval_windows,
         );
-        attach_governor(
-            patient,
-            Box::new(governor),
-            &shared,
-            &exact,
-            budget.battery(),
-        );
+        patient.attach_governor(Box::new(governor), &shared, &exact, budget.battery());
         Ok(patient.engine.active_backend().name().to_string())
     }
 
@@ -1543,11 +1473,7 @@ impl FleetScheduler {
     /// [`PsaError::InvalidConfig`] when the stream has no budget governor
     /// attached.
     pub fn stream_budget(&self, id: usize) -> Result<StreamBudgetStatus, PsaError> {
-        let &(shard, pos) = self
-            .index
-            .get(&id)
-            .ok_or(PsaError::UnknownStream(id as u64))?;
-        let patient = &self.shards[shard].patients[pos];
+        let patient = self.stream(id)?;
         let state = patient
             .governor
             .as_ref()
@@ -1560,10 +1486,7 @@ impl FleetScheduler {
             joules_per_interval: state.budget_j,
             interval_windows: state.interval_windows,
             spent_j: state.spent_j,
-            battery: patient.battery.as_ref().map(|b| BatteryStatus {
-                charge_j: b.charge_j(),
-                capacity_j: b.capacity_j(),
-            }),
+            battery: patient.battery_status(),
             backend: patient.engine.active_backend().name().to_string(),
         })
     }
@@ -1576,7 +1499,7 @@ impl FleetScheduler {
     pub fn with_node_model(mut self, node: NodeModel) -> Self {
         self.profile = self.cache.cost_profile(&self.plan, &node);
         let nominal = node.dvfs.nominal();
-        for patient in self.shards.iter_mut().flat_map(|s| &mut s.patients) {
+        for patient in self.patients_mut() {
             if patient.governor.is_none() {
                 patient.opp = nominal;
             }
@@ -1598,10 +1521,8 @@ impl FleetScheduler {
         self.instruments = Some(FleetInstruments::new(telemetry, tracer));
         // Existing streams may hold handles from a previous registry;
         // invalidate so the next emission re-registers against this one.
-        for shard in &mut self.shards {
-            for patient in &mut shard.patients {
-                patient.compute_hist = None;
-            }
+        for patient in self.patients_mut() {
+            patient.compute_hist = None;
         }
     }
 
@@ -1617,84 +1538,30 @@ impl FleetScheduler {
         &self.plan
     }
 
-    /// Advances every stream to stream-time `t_limit` (seconds). Returns
-    /// `true` while any stream still has samples left. With more than one
-    /// worker the shards advance on scoped threads in parallel.
+    /// Replays the cohort up to stream-time `t_limit` (seconds): every
+    /// cohort stream is fed its samples in `[fed_until, t_limit)` through
+    /// the batch path of [`FleetScheduler::push_rr_batch`]. Returns
+    /// `true` while any stream still has cohort samples left.
     pub fn run_until(&mut self, t_limit: f64) -> bool {
         let started = Instant::now();
-        let detector = self.detector;
-        let profile = &self.profile;
-        let instruments = self.instruments.as_ref();
-        let remaining = if self.shards.len() == 1 {
-            advance_shard(
-                &mut self.shards[0],
-                &mut self.scratches[0],
-                t_limit,
-                detector,
-                profile,
-                instruments,
-            )
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(self.scratches.iter_mut())
-                    .map(|(shard, scratch)| {
-                        s.spawn(move || {
-                            advance_shard(shard, scratch, t_limit, detector, profile, instruments)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // analyze::allow(panic-free-wire): swallowing a worker panic would silently lose a shard's samples; propagating it is the only honest outcome
-                    .map(|h| h.join().expect("fleet worker panicked"))
-                    .fold(false, |acc, r| acc | r)
-            })
-        };
-        self.fed_until = t_limit;
+        let from = self.fed_until;
+        let (shards, cohort, drive) = self.split();
+        let remaining = fan_out(shards, |shard| shard.replay(cohort, from, t_limit, drive));
+        self.fed_until = from.max(t_limit);
         self.wall_seconds += started.elapsed().as_secs_f64();
         remaining
     }
 
-    /// Flushes the trailing windows of every stream (batch parity).
+    /// Flushes the trailing windows of every stream not yet drained
+    /// (batch parity) and journals each stream's drain.
     pub fn finish(&mut self) {
-        if self.finished {
-            return;
-        }
         let started = Instant::now();
-        let detector = self.detector;
-        let profile = &self.profile;
-        let instruments = self.instruments.as_ref();
-        if self.shards.len() == 1 {
-            finish_shard(
-                &mut self.shards[0],
-                &mut self.scratches[0],
-                detector,
-                profile,
-                instruments,
-            );
-        } else {
-            std::thread::scope(|s| {
-                let handles: Vec<_> = self
-                    .shards
-                    .iter_mut()
-                    .zip(self.scratches.iter_mut())
-                    .map(|(shard, scratch)| {
-                        s.spawn(move || {
-                            finish_shard(shard, scratch, detector, profile, instruments)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    // analyze::allow(panic-free-wire): swallowing a worker panic would silently lose a shard's samples; propagating it is the only honest outcome
-                    h.join().expect("fleet worker panicked");
-                }
-            });
-        }
+        let (shards, _, drive) = self.split();
+        fan_out(shards, |shard| {
+            shard.finish(drive);
+            false
+        });
         self.wall_seconds += started.elapsed().as_secs_f64();
-        self.finished = true;
     }
 
     /// Runs the whole fleet to completion in `slice`-sized rounds and
@@ -1712,7 +1579,7 @@ impl FleetScheduler {
     /// runs in stream-id order regardless of sharding, so serial and
     /// sharded runs produce bit-identical reports.
     pub fn report(&self) -> FleetReport {
-        let mut by_id: Vec<&PatientStream> = self.shards.iter().flat_map(|s| &s.patients).collect();
+        let mut by_id: Vec<&PatientStream> = self.patients().collect();
         by_id.sort_by_key(|p| p.id);
         let mut total_ops = OpCount::default();
         let mut windows = 0u64;
@@ -1734,17 +1601,13 @@ impl FleetScheduler {
                 switches += governor.switches();
                 governed_streams += 1;
             }
-            if let Some(idx) = patient.cursor.checked_sub(1) {
-                stream_seconds += patient.samples[idx].0;
-            } else if let Some(t) = patient.ingest.last_time() {
-                // Externally fed streams have no preloaded samples; their
-                // progress is the last accepted beat time.
+            // A stream's progress is its last accepted beat time.
+            if let Some(t) = patient.ingest.last_time() {
                 stream_seconds += t;
             }
         }
         // All OpCount→cycles/joules conversion goes through the shared
-        // cost profile (the ad-hoc per-report math this replaces lived
-        // here).
+        // cost profile.
         let cycles = self.profile.cycles(&total_ops);
         let energy_j = self.profile.energy(&total_ops, windows);
         FleetReport {
@@ -1761,7 +1624,7 @@ impl FleetScheduler {
             governed_streams,
             arrhythmia_windows,
             controller_switches: switches,
-            scratch_slots: self.scratches.len(),
+            scratch_slots: self.shards.len(),
             kernel_builds: self.cache.builds(),
             kernel_hits: self.cache.hits(),
         }
@@ -1769,82 +1632,8 @@ impl FleetScheduler {
 
     /// Number of streams in the fleet.
     pub fn streams(&self) -> usize {
-        self.shards.iter().map(|s| s.patients.len()).sum()
+        self.shards.iter().map(|s| s.streams.len()).sum()
     }
-}
-
-/// Installs the kernel a governor directive maps to.
-fn apply_choice(
-    engine: &mut SlidingLomb,
-    choice: Option<OperatingChoice>,
-    choice_backends: &[(OperatingChoice, usize)],
-    exact_index: usize,
-) {
-    let index = choice
-        .and_then(|c| {
-            choice_backends
-                .iter()
-                .find(|(known, _)| *known == c)
-                .map(|(_, idx)| *idx)
-        })
-        .unwrap_or(exact_index);
-    engine.set_active_backend(index);
-}
-
-/// Wires a governor onto one patient: registers the exact fallback and
-/// every runnable choice kernel on its engine (cache-shared Arcs, deduped
-/// against kernels already registered), applies the governor's initial
-/// directive, and attaches the battery.
-fn attach_governor(
-    patient: &mut PatientStream,
-    governor: Box<dyn QualityGovernor>,
-    shared: &[(OperatingChoice, Arc<dyn hrv_dsp::FftBackend>)],
-    exact: &Arc<dyn hrv_dsp::FftBackend>,
-    battery: Option<Battery>,
-) {
-    // Reuse any exact kernel this engine already knows (the construction
-    // kernel, or the one a previous attachment registered) — repeated
-    // SetBudget/quality-control attachments must not grow the backend
-    // list.
-    let exact_index = if patient.engine.backend_at(patient.exact_index).is_exact() {
-        patient.exact_index
-    } else if patient.engine.active_backend().is_exact() {
-        patient.engine.active_backend_index()
-    } else {
-        patient.engine.add_backend(exact.clone())
-    };
-    patient.exact_index = exact_index;
-    for (choice, backend) in shared {
-        if !patient
-            .choice_backends
-            .iter()
-            .any(|(known, _)| known == choice)
-        {
-            let index = patient.engine.add_backend(backend.clone());
-            patient.choice_backends.push((*choice, index));
-        }
-    }
-    let before = (
-        patient.engine.active_backend_index(),
-        patient.opp.voltage.to_bits(),
-    );
-    apply_choice(
-        &mut patient.engine,
-        governor.current(),
-        &patient.choice_backends,
-        exact_index,
-    );
-    patient.opp = governor.operating_point();
-    record_switch_if_changed(
-        &mut patient.journal,
-        patient.windows,
-        &patient.engine,
-        &patient.opp,
-        before,
-        SwitchReason::Operator,
-    );
-    patient.battery = battery;
-    patient.governor = Some(governor);
 }
 
 #[cfg(test)]
@@ -2049,15 +1838,9 @@ mod tests {
         );
         // The controller ran: every patient holds one, and audit windows
         // were produced (switch count is workload-dependent, may be 0).
-        assert!(scheduler
-            .shards
-            .iter()
-            .flat_map(|s| &s.patients)
-            .all(|p| p.governor.is_some()));
+        assert!(scheduler.patients().all(|p| p.governor.is_some()));
         let audits: u64 = scheduler
-            .shards
-            .iter()
-            .flat_map(|s| &s.patients)
+            .patients()
             .map(|p| p.governor.as_ref().unwrap().audits())
             .sum();
         assert!(audits > 0);
@@ -2114,9 +1897,7 @@ mod tests {
             .expect("trained")
             .with_quality_control(&sweep, 5.0);
         let count = |s: &FleetScheduler| {
-            s.shards
-                .iter()
-                .flat_map(|sh| &sh.patients)
+            s.patients()
                 .next()
                 .map(|p| p.choice_backends.len())
                 .unwrap_or(0)
@@ -2166,9 +1947,7 @@ mod tests {
         let plan = SpectralPlan::calibrated(config, &cohort).expect("calibrated");
         let mut scheduler = FleetScheduler::from_plan(plan, fleet).expect("fleet");
         assert!(!scheduler
-            .shards
-            .iter()
-            .flat_map(|s| &s.patients)
+            .patients()
             .next()
             .expect("patients")
             .engine
@@ -2178,10 +1957,13 @@ mod tests {
         assert!(report.windows > 0);
     }
 
-    /// Replays `record`'s samples into an external fleet stream.
-    fn replay(scheduler: &mut FleetScheduler, id: usize, record: &hrv_ecg::PatientRecord) {
-        for (&t, &rr) in record.rr.times().iter().zip(record.rr.intervals()) {
-            scheduler.push_rr(id, t, rr).expect("open stream");
+    /// Replays `samples` into an external fleet stream, one sample per
+    /// batch.
+    fn replay(scheduler: &mut FleetScheduler, id: usize, samples: &[(f64, f64)]) {
+        for sample in samples {
+            scheduler
+                .push_rr_batch(id, std::slice::from_ref(sample))
+                .expect("open stream");
         }
     }
 
@@ -2211,11 +1993,8 @@ mod tests {
         }
         // Interleave pushes across streams (round-robin-ish) to show the
         // cross-stream feed order does not matter.
-        let records: Vec<_> = (0..streams)
-            .map(|id| cohort_member(seed, id, duration))
-            .collect();
-        for (id, record) in records.iter().enumerate() {
-            replay(&mut external, id, record);
+        for id in 0..streams {
+            replay(&mut external, id, &cohort_samples(seed, id, duration));
         }
         let drained = external.close_all();
         assert_eq!(drained, expected, "external feed must be bit-identical");
@@ -2228,20 +2007,15 @@ mod tests {
 
     #[test]
     fn batch_ingest_is_identical_to_per_sample_ingest() {
-        let record = cohort_member(5, 0, 300.0);
-        let samples: Vec<(f64, f64)> = record
-            .rr
-            .times()
-            .iter()
-            .copied()
-            .zip(record.rr.intervals().iter().copied())
-            .collect();
+        let samples = cohort_samples(5, 0, 300.0);
         let plan = SpectralPlan::new(PsaConfig::conventional()).expect("plan");
         let mut per_sample = FleetScheduler::external(plan.clone(), 1).expect("fleet");
         per_sample.open_stream(0).expect("open");
         let mut accepted_singles = 0usize;
-        for &(t, rr) in &samples {
-            accepted_singles += usize::from(per_sample.push_rr(0, t, rr).expect("push"));
+        for sample in &samples {
+            accepted_singles += per_sample
+                .push_rr_batch(0, std::slice::from_ref(sample))
+                .expect("push");
         }
         let mut batched = FleetScheduler::external(plan, 1).expect("fleet");
         batched.open_stream(0).expect("open");
@@ -2265,6 +2039,104 @@ mod tests {
     }
 
     #[test]
+    fn beat_batches_are_identical_whatever_the_chunking() {
+        let beats = cohort_member(5, 1, 300.0).rr.times().to_vec();
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("plan");
+        let feed = |chunks: &[usize]| {
+            let mut fleet = FleetScheduler::external(plan.clone(), 1).expect("fleet");
+            fleet.open_stream(0).expect("open");
+            let mut accepted = 0usize;
+            let mut rest = beats.as_slice();
+            for &n in chunks.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (head, tail) = rest.split_at(n.min(rest.len()));
+                accepted += fleet.push_beat_batch(0, head).expect("push");
+                rest = tail;
+            }
+            (accepted, fleet.close_stream(0).expect("close"))
+        };
+        let singles = feed(&[1]);
+        assert_eq!(singles.0, beats.len() - 1, "the first beat only anchors");
+        assert!(singles.1.windows > 0);
+        assert_eq!(feed(&[7, 1, 64]), singles);
+        assert_eq!(feed(&[beats.len()]), singles);
+    }
+
+    #[test]
+    fn finish_drains_streams_opened_after_run() {
+        let mut fleet = small_fleet(2, 300.0);
+        fleet.run();
+        fleet.open_stream(10).expect("late stream");
+        let samples = cohort_samples(7, 0, 300.0);
+        fleet.push_rr_batch(10, &samples).expect("push");
+        fleet.finish();
+        let drains = |fleet: &FleetScheduler, id: usize| {
+            let events = fleet.stream_events(id).expect("journal");
+            assert!(
+                matches!(
+                    events.last().map(|r| &r.event),
+                    Some(StreamEvent::Drain { .. })
+                ),
+                "stream {id} must end drained: {events:?}"
+            );
+            events
+                .iter()
+                .filter(|r| matches!(r.event, StreamEvent::Drain { .. }))
+                .count()
+        };
+        assert_eq!(drains(&fleet, 10), 1);
+        assert_eq!(drains(&fleet, 0), 1, "a second finish re-drains nothing");
+        // Fed cohort stream 0's samples, the late stream flushed the same
+        // trailing windows.
+        let reports = fleet.close_all();
+        let late = reports.iter().find(|r| r.id == 10).expect("late report");
+        assert_eq!(
+            StreamReport {
+                id: 0,
+                ..late.clone()
+            },
+            reports[0]
+        );
+    }
+
+    #[test]
+    fn closing_a_cohort_stream_leaves_the_others_untouched() {
+        let mut full = fleet_with_workers(6, 400.0, 2);
+        full.run();
+        let mut fleet = fleet_with_workers(6, 400.0, 2);
+        fleet.run_until(150.0);
+        fleet.close_stream(3).expect("close");
+        // A cohort id opened again is an external stream: the replay
+        // feeds it nothing.
+        fleet.open_stream(3).expect("reopen");
+        fleet.run();
+        let mut reports = fleet.stream_reports();
+        let reopened = reports.remove(3);
+        assert_eq!((reopened.windows, reopened.ingest.accepted), (0, 0));
+        let mut expected = full.stream_reports();
+        expected.remove(3);
+        assert_eq!(reports, expected);
+    }
+
+    #[test]
+    fn cohort_stream_seconds_is_the_sum_of_last_beat_times() {
+        let (streams, duration) = (5, 400.0);
+        let report = fleet_with_workers(streams, duration, 2).run();
+        let expected: f64 = (0..streams)
+            .map(|id| {
+                *cohort_member(7, id, duration)
+                    .rr
+                    .times()
+                    .last()
+                    .expect("beats")
+            })
+            .sum();
+        assert_eq!(report.stream_seconds.to_bits(), expected.to_bits());
+    }
+
+    #[test]
     fn stream_reports_are_id_ordered_under_sharding() {
         let mut scheduler = fleet_with_workers(9, 300.0, 4);
         scheduler.run();
@@ -2285,7 +2157,11 @@ mod tests {
             PsaError::DuplicateStream(3)
         );
         assert_eq!(
-            fleet.push_rr(9, 1.0, 0.8).unwrap_err(),
+            fleet.push_rr_batch(9, &[(1.0, 0.8)]).unwrap_err(),
+            PsaError::UnknownStream(9)
+        );
+        assert_eq!(
+            fleet.push_beat_batch(9, &[1.0]).unwrap_err(),
             PsaError::UnknownStream(9)
         );
         assert_eq!(
@@ -2297,8 +2173,12 @@ mod tests {
             PsaError::UnknownStream(9)
         );
         // Implausible samples are gated, not errors.
-        assert!(fleet.push_rr(3, 1.0, 0.8).expect("open stream"));
-        assert!(!fleet.push_rr(3, 2.0, 10.0).expect("gated dropout"));
+        assert_eq!(fleet.push_rr_batch(3, &[(1.0, 0.8)]), Ok(1));
+        assert_eq!(
+            fleet.push_rr_batch(3, &[(2.0, 10.0)]),
+            Ok(0),
+            "gated dropout"
+        );
         let report = fleet.close_stream(3).expect("close");
         assert_eq!(report.ingest.accepted, 1);
         assert_eq!(report.ingest.rejected_dropout, 1);
@@ -2324,10 +2204,9 @@ mod tests {
             fleet.open_stream(id).expect("open");
         }
         fleet.close_stream(1).expect("close");
-        // The swap-removed slot now holds another stream; pushes must
-        // still route to the right ids.
+        // Pushes must still route to the right ids.
         for id in [0usize, 2, 3] {
-            assert!(fleet.push_rr(id, 1.0, 0.8).expect("routed"));
+            assert_eq!(fleet.push_rr_batch(id, &[(1.0, 0.8)]), Ok(1), "routed");
             assert_eq!(fleet.stream_report(id).expect("report").id, id);
         }
         assert_eq!(
@@ -2385,13 +2264,13 @@ mod tests {
             .set_stream_mode(0, ApproximationMode::BandDropSet3)
             .expect("pruned");
         let snapshot = {
-            let patient = &fleet.shards[0].patients[0];
+            let patient = fleet.stream(0).expect("open");
             (patient.exact_index, patient.choice_backends.len())
         };
         for _ in 0..3 {
             fleet.set_stream_budget(0, budget).expect("re-attach");
         }
-        let patient = &fleet.shards[0].patients[0];
+        let patient = fleet.stream(0).expect("open");
         assert_eq!(
             (patient.exact_index, patient.choice_backends.len()),
             snapshot,

@@ -15,11 +15,15 @@
 //!   half-length real FFT for the data half), so each window costs
 //!   measurably fewer operations than a from-scratch segment;
 //! * [`FleetScheduler`] — multiplexes thousands of patient streams across
-//!   sharded scoped-thread workers (one scratch arena per worker, zero
+//!   shards, each owning its streams and one scratch arena (zero
 //!   steady-state allocations per window on the default exact-kernel
-//!   path) and reports aggregate throughput and energy via
-//!   `hrv-node-sim`. Each stream may carry a run-time governor from
-//!   `hrv-core` ([`hrv_core::DistortionGovernor`] re-selects the
+//!   path), and reports aggregate throughput and energy via
+//!   `hrv-node-sim`. Samples enter through one batch feed
+//!   ([`FleetScheduler::push_rr_batch`] /
+//!   [`FleetScheduler::push_beat_batch`]), which an offline
+//!   [`FleetScheduler::run`] uses to replay its synthetic cohort too.
+//!   Each stream may carry a run-time governor from `hrv-core`
+//!   ([`hrv_core::DistortionGovernor`] re-selects the
 //!   `(ApproximationMode, PruningPolicy, VFS)` operating point per window
 //!   from a rolling, audit-fed distortion estimate;
 //!   [`hrv_core::EnergyBudgetGovernor`] spends a joule budget).
@@ -69,15 +73,15 @@ mod scratch;
 mod sliding;
 
 pub use fleet::{
-    cohort_member, BatteryStatus, FleetConfig, FleetReport, FleetScheduler, StreamBudget,
-    StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,
+    cohort_member, cohort_samples, BatteryStatus, FleetConfig, FleetReport, FleetScheduler,
+    StreamBudget, StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,
 };
 pub use ingest::{IngestStats, RrIngest};
 pub use journal::{
     decode_events, encode_events, EventJournal, EventRecord, StreamEvent, SwitchReason,
     EVENT_JOURNAL_CAPACITY,
 };
-pub use scratch::{ScratchPool, StreamScratch};
+pub use scratch::StreamScratch;
 pub use sliding::{band_powers, SlidingLomb, WindowView, AUDIT_BLOCK};
 
 /// The run-time controller as a stream holds it: a boxed

@@ -1,4 +1,4 @@
-//! Reusable per-window working memory and the shared fleet pool.
+//! Reusable per-window working memory.
 //!
 //! Every buffer the sliding engine touches per emitted window lives here,
 //! so that after a warm-up phase the hot path performs **zero heap
@@ -11,8 +11,9 @@ use hrv_lomb::MeshScratch;
 
 /// Working buffers for one in-flight window computation.
 ///
-/// Acquire from a [`ScratchPool`] (or construct directly); all buffers grow
-/// on first use and are reused afterwards.
+/// One slot serves any number of engines driven from one thread — each
+/// [`crate::FleetScheduler`] shard owns one. All buffers grow on first use
+/// and are reused afterwards.
 #[derive(Debug, Default)]
 pub struct StreamScratch {
     /// Window-relative sample times.
@@ -75,69 +76,9 @@ impl StreamScratch {
     }
 }
 
-/// A pool of [`StreamScratch`] slots for callers multiplexing many
-/// engines themselves.
-///
-/// Single-threaded multiplexing needs exactly one slot regardless of how
-/// many patient streams are interleaved; the pool keeps warmed-up slots
-/// alive so no stream ever re-grows the buffers. (The sharded
-/// [`crate::FleetScheduler`] instead owns one arena per worker directly.)
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    free: Vec<StreamScratch>,
-    created: usize,
-}
-
-impl ScratchPool {
-    /// Creates an empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Takes a slot from the pool, creating one only when none is free.
-    // analyze::hot_path
-    pub fn acquire(&mut self) -> StreamScratch {
-        self.free.pop().unwrap_or_else(|| {
-            self.created += 1;
-            StreamScratch::new()
-        })
-    }
-
-    /// Returns a slot (with its grown buffers) for reuse.
-    // analyze::hot_path
-    pub fn release(&mut self, scratch: StreamScratch) {
-        self.free.push(scratch);
-    }
-
-    /// Number of slots ever created — stays at 1 for a single-threaded
-    /// fleet, however many streams it multiplexes.
-    pub fn slots_created(&self) -> usize {
-        self.created
-    }
-
-    /// Number of slots currently available.
-    pub fn available(&self) -> usize {
-        self.free.len()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn pool_reuses_slots() {
-        let mut pool = ScratchPool::new();
-        let mut a = pool.acquire();
-        a.wk1.resize(512, 0.0);
-        let sig = a.capacity_signature();
-        pool.release(a);
-        assert_eq!(pool.slots_created(), 1);
-        assert_eq!(pool.available(), 1);
-        let b = pool.acquire();
-        assert_eq!(pool.slots_created(), 1, "slot must be reused, not created");
-        assert_eq!(b.capacity_signature(), sig, "grown buffers survive reuse");
-    }
 
     #[test]
     fn scratch_is_send() {
@@ -145,16 +86,5 @@ mod tests {
         // scoped thread.
         fn assert_send<T: Send>() {}
         assert_send::<StreamScratch>();
-    }
-
-    #[test]
-    fn pool_creates_on_demand() {
-        let mut pool = ScratchPool::new();
-        let a = pool.acquire();
-        let b = pool.acquire();
-        assert_eq!(pool.slots_created(), 2);
-        pool.release(a);
-        pool.release(b);
-        assert_eq!(pool.available(), 2);
     }
 }

@@ -7,15 +7,14 @@ use hrv_psa::prelude::*;
 use hrv_psa::service::{
     FramePoll, FrameReader, Pushed, Reply, Request, MAX_FRAME, PROTOCOL_VERSION,
 };
-use hrv_psa::stream::cohort_member;
+use hrv_psa::stream::cohort_samples;
 use proptest::prelude::*;
 use std::io::Cursor;
 
 const SEED: u64 = 2014;
 
-fn gateway_config(max_sessions: usize, queue_capacity: usize, workers: usize) -> GatewayConfig {
+fn gateway_config(max_sessions: usize, queue_capacity: usize) -> GatewayConfig {
     GatewayConfig {
-        workers,
         session: SessionConfig {
             max_sessions,
             queue_capacity,
@@ -26,14 +25,7 @@ fn gateway_config(max_sessions: usize, queue_capacity: usize, workers: usize) ->
 
 /// The samples of one synthetic cohort member, as a client would push them.
 fn member_samples(id: usize, duration: f64) -> Vec<(f64, f64)> {
-    let record = cohort_member(SEED, id, duration);
-    record
-        .rr
-        .times()
-        .iter()
-        .copied()
-        .zip(record.rr.intervals().iter().copied())
-        .collect()
+    cohort_samples(SEED, id, duration)
 }
 
 #[test]
@@ -57,7 +49,7 @@ fn eight_concurrent_clients_drain_bit_identical_to_offline_fleet() {
     let expected = offline.stream_reports();
 
     // The gateway, fed by one real TCP connection per stream.
-    let handle = Gateway::start(gateway_config(STREAMS, 1024, 2)).expect("gateway");
+    let handle = Gateway::start(gateway_config(STREAMS, 1024)).expect("gateway");
     let addr = handle.local_addr();
     std::thread::scope(|scope| {
         for id in 0..STREAMS {
@@ -91,7 +83,7 @@ fn eight_concurrent_clients_drain_bit_identical_to_offline_fleet() {
 
 #[test]
 fn saturated_session_receives_busy_and_queue_never_grows() {
-    let handle = Gateway::start(gateway_config(4, 16, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(4, 16)).expect("gateway");
     let mut client = handle.client().expect("client");
     client.open_stream(1).expect("open");
 
@@ -133,7 +125,7 @@ fn saturated_session_receives_busy_and_queue_never_grows() {
 
 #[test]
 fn admission_control_is_enforced_over_the_wire() {
-    let handle = Gateway::start(gateway_config(2, 64, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(2, 64)).expect("gateway");
     let mut client = handle.client().expect("client");
     client.open_stream(10).expect("first");
     client.open_stream(11).expect("second");
@@ -167,7 +159,7 @@ fn admission_control_is_enforced_over_the_wire() {
 
 #[test]
 fn quality_switching_and_session_persistence_across_connections() {
-    let handle = Gateway::start(gateway_config(4, 1024, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(4, 1024)).expect("gateway");
     let samples = member_samples(0, 300.0);
     {
         let mut client = handle.client().expect("client");
@@ -213,7 +205,7 @@ fn quality_switching_and_session_persistence_across_connections() {
 #[test]
 fn budget_governance_over_the_wire() {
     use hrv_psa::stream::StreamBudget;
-    let handle = Gateway::start(gateway_config(4, 2048, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(4, 2048)).expect("gateway");
     let samples = member_samples(0, 420.0);
     let mut client = handle.client().expect("client");
     client.open_stream(9).expect("open");
@@ -290,7 +282,7 @@ fn budget_governance_over_the_wire() {
 
 #[test]
 fn metrics_exposition_reaches_clients_over_the_wire() {
-    let handle = Gateway::start(gateway_config(4, 64, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(4, 64)).expect("gateway");
     let mut client = handle.client().expect("client");
     client.open_stream(2).expect("open");
     client.push_rr(2, &[(0.8, 0.8), (1.6, 0.8)]).expect("push");
@@ -312,7 +304,7 @@ fn metrics_exposition_reaches_clients_over_the_wire() {
 
 #[test]
 fn metrics_exposition_size_does_not_grow_with_open_streams() {
-    let handle = Gateway::start(gateway_config(256, 64, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(256, 64)).expect("gateway");
     let mut client = handle.client().expect("client");
     client.open_stream(0).expect("open");
     let one = client.metrics().expect("metrics").lines().count();
@@ -332,7 +324,7 @@ fn metrics_exposition_size_does_not_grow_with_open_streams() {
 
 #[test]
 fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
-    let mut config = gateway_config(4, 4096, 1);
+    let mut config = gateway_config(4, 4096);
     config.tracer = Tracer::monotonic();
     let handle = Gateway::start(config).expect("gateway");
     let tracer = handle.tracer();
@@ -403,7 +395,7 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
 
 #[test]
 fn hello_is_mandatory_before_any_other_request() {
-    let handle = Gateway::start(gateway_config(4, 64, 1)).expect("gateway");
+    let handle = Gateway::start(gateway_config(4, 64)).expect("gateway");
     // A raw connection that skips the handshake.
     let mut conn = std::net::TcpStream::connect(handle.local_addr()).expect("connect");
     hrv_psa::service::write_frame(&mut conn, &Request::OpenStream { stream: 1 }.encode())
