@@ -90,6 +90,5 @@ pub use telemetry::{
     validate_exposition, Counter, Gauge, Histogram, MetricKind, Telemetry, HISTOGRAM_BUCKETS,
 };
 pub use trace::{
-    Clock, MockClock, MonotonicClock, SlowRequest, SpanGuard, SpanRecord, Tracer,
-    DEFAULT_RING_CAPACITY,
+    Clock, MockClock, MonotonicClock, SlowRequest, SpanRecord, Stage, Tracer, DEFAULT_RING_CAPACITY,
 };

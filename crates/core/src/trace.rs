@@ -10,13 +10,18 @@
 //! configurable threshold is captured with its full descendant breakdown
 //! in a bounded slow-request log ([`Tracer::slow_requests`]).
 //!
+//! A timed stage ([`Tracer::stage`]) reads the clock once at start and
+//! once at end; those two reads feed both its latency [`Histogram`] and
+//! its span, so the two views of a stage always agree.
+//!
 //! Cost model: a *disabled* tracer (the default for production
 //! configs) spends one relaxed atomic load per [`Tracer::span`] call and
 //! never touches the clock — cheap enough to leave the instrumentation
-//! permanently compiled in. An *enabled* tracer reads the clock twice
-//! per span and takes one uncontended per-thread mutex on finish. Ring
-//! capacity is fixed at creation; once a thread's ring is warm, steady
-//! state records overwrite the oldest span without allocating.
+//! permanently compiled in; a timed stage still reads the clock twice
+//! for its histogram. An *enabled* tracer reads the clock twice per span
+//! and takes one uncontended per-thread mutex on finish. Ring capacity
+//! is fixed at creation; once a thread's ring is warm, steady state
+//! records overwrite the oldest span without allocating.
 //!
 //! # Examples
 //!
@@ -44,11 +49,13 @@
 //! ```
 
 use crate::sync::lock_unpoisoned;
+use crate::telemetry::Histogram;
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// A monotonic nanosecond time source the tracer reads through.
 ///
@@ -154,46 +161,11 @@ pub struct SlowRequest {
     pub spans: Vec<SpanRecord>,
 }
 
-/// Fixed-capacity overwrite-oldest span ring.
-#[derive(Debug)]
-struct Ring {
-    buf: Vec<SpanRecord>,
-    cap: usize,
-    /// Oldest element once the buffer is full.
-    head: usize,
-}
-
-impl Ring {
-    fn new(cap: usize) -> Self {
-        Self {
-            buf: Vec::with_capacity(cap),
-            cap,
-            head: 0,
-        }
-    }
-
-    fn push(&mut self, record: SpanRecord) {
-        if self.buf.len() < self.cap {
-            self.buf.push(record);
-        } else {
-            self.buf[self.head] = record;
-            self.head = (self.head + 1) % self.cap;
-        }
-    }
-
-    /// Records oldest → newest.
-    fn ordered(&self) -> Vec<SpanRecord> {
-        let mut out = Vec::with_capacity(self.buf.len());
-        out.extend_from_slice(&self.buf[self.head..]);
-        out.extend_from_slice(&self.buf[..self.head]);
-        out
-    }
-}
-
 #[derive(Debug)]
 struct ThreadRing {
     thread: u32,
-    ring: Mutex<Ring>,
+    /// Overwrite-oldest span ring of the tracer's capacity, oldest first.
+    ring: Mutex<VecDeque<SpanRecord>>,
 }
 
 #[derive(Debug)]
@@ -302,43 +274,33 @@ impl Tracer {
         self.inner.slow_threshold_ns.store(ns, Ordering::Relaxed);
     }
 
-    /// This thread's ring under this tracer, registering on first use.
-    fn local_ring(&self) -> Arc<ThreadRing> {
+    /// Makes span `id` this thread's innermost open span, registering
+    /// the thread's ring on first use. Returns the ring and the id of the
+    /// span it nests in (0 for a root).
+    fn enter(&self, id: u64) -> (Arc<ThreadRing>, u64) {
         LOCAL.with(|slots| {
             let mut slots = slots.borrow_mut();
-            if let Some(slot) = slots.iter().find(|s| s.tracer == self.inner.id) {
-                return Arc::clone(&slot.ring);
-            }
-            let ring = Arc::new(ThreadRing {
-                thread: self.inner.next_thread.fetch_add(1, Ordering::Relaxed),
-                ring: Mutex::new(Ring::new(self.inner.capacity)),
-            });
-            lock_unpoisoned(&self.inner.threads).push(Arc::clone(&ring));
-            slots.push(LocalSlot {
-                tracer: self.inner.id,
-                ring: Arc::clone(&ring),
-                current: 0,
-            });
-            ring
-        })
-    }
-
-    fn set_current(&self, id: u64) {
-        LOCAL.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            if let Some(slot) = slots.iter_mut().find(|s| s.tracer == self.inner.id) {
-                slot.current = id;
-            }
-        });
-    }
-
-    fn current(&self) -> u64 {
-        LOCAL.with(|slots| {
-            slots
-                .borrow()
-                .iter()
-                .find(|s| s.tracer == self.inner.id)
-                .map_or(0, |s| s.current)
+            let index = match slots.iter().position(|s| s.tracer == self.inner.id) {
+                Some(index) => index,
+                None => {
+                    let ring = Arc::new(ThreadRing {
+                        thread: self.inner.next_thread.fetch_add(1, Ordering::Relaxed),
+                        ring: Mutex::new(VecDeque::with_capacity(self.inner.capacity)),
+                    });
+                    lock_unpoisoned(&self.inner.threads).push(Arc::clone(&ring));
+                    slots.push(LocalSlot {
+                        tracer: self.inner.id,
+                        ring,
+                        current: 0,
+                    });
+                    slots.len() - 1
+                }
+            };
+            let slot = &mut slots[index];
+            (
+                Arc::clone(&slot.ring),
+                std::mem::replace(&mut slot.current, id),
+            )
         })
     }
 
@@ -346,57 +308,41 @@ impl Tracer {
     /// opened while the guard is live (on the same thread) become its
     /// children. When the tracer is disabled this is one atomic load and
     /// the guard is inert.
-    #[must_use = "the span records when this guard drops"]
-    pub fn span(&self, stage: &'static str) -> SpanGuard {
-        if !self.is_enabled() {
-            return SpanGuard { active: None };
-        }
-        let ring = self.local_ring();
-        let parent = self.current();
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        self.set_current(id);
-        SpanGuard {
-            active: Some(ActiveSpan {
-                tracer: Arc::clone(&self.inner),
+    pub fn span(&self, stage: &'static str) -> Stage<'_> {
+        self.begin(stage, None)
+    }
+
+    /// Opens a timed stage: the guard observes `hist` and, when the
+    /// tracer is enabled, records a `stage` span — both from the same two
+    /// clock reads, so they see the same duration.
+    pub fn stage<'a>(&'a self, stage: &'static str, hist: &'a Histogram) -> Stage<'a> {
+        self.begin(stage, Some(hist))
+    }
+
+    fn begin<'a>(&'a self, stage: &'static str, hist: Option<&'a Histogram>) -> Stage<'a> {
+        let enabled = self.is_enabled();
+        // A bare span under a disabled tracer reads no clock.
+        let start_ns = if enabled || hist.is_some() {
+            self.inner.clock.now_ns()
+        } else {
+            0
+        };
+        let span = enabled.then(|| {
+            let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
+            let (ring, parent) = self.enter(id);
+            ActiveSpan {
                 ring,
                 stage,
                 id,
                 parent,
-                start_ns: self.inner.clock.now_ns(),
-            }),
+            }
+        });
+        Stage {
+            tracer: &self.inner,
+            hist,
+            start_ns,
+            span,
         }
-    }
-
-    /// The current time per the tracer's clock, or `None` when
-    /// disabled. Pair with [`Tracer::record_span`] to record a stage
-    /// retroactively — i.e. only once it turned out to matter (a frame
-    /// completed, a window emitted) — without holding a guard open.
-    pub fn start(&self) -> Option<u64> {
-        self.is_enabled().then(|| self.inner.clock.now_ns())
-    }
-
-    /// Records a `[start_ns, now]` span under the innermost open span of
-    /// this thread (root if none). No-op when disabled.
-    pub fn record_span(&self, stage: &'static str, start_ns: u64) {
-        if !self.is_enabled() {
-            return;
-        }
-        let ring = self.local_ring();
-        let parent = self.current();
-        let id = self.inner.next_span.fetch_add(1, Ordering::Relaxed);
-        let now = self.inner.clock.now_ns();
-        finish(
-            &self.inner,
-            &ring,
-            SpanRecord {
-                id,
-                parent,
-                stage,
-                start_ns,
-                duration_ns: now.saturating_sub(start_ns),
-                thread: ring.thread,
-            },
-        );
     }
 
     /// Every recorded span, across threads, sorted by
@@ -405,7 +351,7 @@ impl Tracer {
         let rings: Vec<Arc<ThreadRing>> = lock_unpoisoned(&self.inner.threads).clone();
         let mut out = Vec::new();
         for ring in rings {
-            out.extend(lock_unpoisoned(&ring.ring).ordered());
+            out.extend(lock_unpoisoned(&ring.ring).iter().copied());
         }
         out.sort_by_key(|s| (s.start_ns, s.thread, s.id));
         out
@@ -421,9 +367,7 @@ impl Tracer {
     pub fn clear(&self) {
         let rings: Vec<Arc<ThreadRing>> = lock_unpoisoned(&self.inner.threads).clone();
         for ring in rings {
-            let mut guard = lock_unpoisoned(&ring.ring);
-            guard.buf.clear();
-            guard.head = 0;
+            lock_unpoisoned(&ring.ring).clear();
         }
         lock_unpoisoned(&self.inner.slow).clear();
     }
@@ -502,8 +446,11 @@ fn finish(inner: &TracerInner, ring: &ThreadRing, record: SpanRecord) {
         record.parent == 0 && record.duration_ns >= inner.slow_threshold_ns.load(Ordering::Relaxed);
     let breakdown = {
         let mut guard = lock_unpoisoned(&ring.ring);
-        guard.push(record);
-        is_slow.then(|| descendants(&guard.ordered(), record.id))
+        if guard.len() == inner.capacity {
+            guard.pop_front();
+        }
+        guard.push_back(record);
+        is_slow.then(|| descendants(guard.make_contiguous(), record.id))
     };
     if let Some(spans) = breakdown {
         let mut slow = lock_unpoisoned(&inner.slow);
@@ -537,65 +484,72 @@ fn descendants(ordered: &[SpanRecord], root: u64) -> Vec<SpanRecord> {
         .collect()
 }
 
+/// The span half of an open [`Stage`].
 struct ActiveSpan {
-    tracer: Arc<TracerInner>,
     ring: Arc<ThreadRing>,
     stage: &'static str,
     id: u64,
     parent: u64,
+}
+
+/// RAII guard of an open span ([`Tracer::span`]) or timed stage
+/// ([`Tracer::stage`]). On drop it reads the clock once and hands the
+/// duration to the stage histogram, if any, and to the span, if the
+/// tracer was enabled at start. A disabled bare span is inert.
+#[must_use = "the stage records when this guard drops"]
+pub struct Stage<'a> {
+    tracer: &'a TracerInner,
+    /// `None` for a bare span, and once cancelled.
+    hist: Option<&'a Histogram>,
     start_ns: u64,
+    /// `None` while the tracer is disabled, and once closed.
+    span: Option<ActiveSpan>,
 }
 
-/// RAII guard of an open span; records on drop. Inert when the tracer
-/// was disabled at [`Tracer::span`] time.
-#[must_use = "the span records when this guard drops"]
-pub struct SpanGuard {
-    active: Option<ActiveSpan>,
-}
-
-impl SpanGuard {
-    /// Discards the span without recording it — for call sites that only
-    /// know in hindsight that nothing happened (e.g. a window-compute
-    /// span around a sample that emitted no window). Child spans opened while the guard
-    /// was live keep their parent link; only this span's own record is
-    /// dropped.
+impl Stage<'_> {
+    /// Discards the stage: no span, no observation, no further clock
+    /// read — for call sites that only know in hindsight that nothing
+    /// happened (a window-compute step that emitted no window). Spans
+    /// opened inside it keep their parent link.
     pub fn cancel(mut self) {
-        if let Some(active) = self.active.take() {
-            LOCAL.with(|slots| {
-                let mut slots = slots.borrow_mut();
-                if let Some(slot) = slots.iter_mut().find(|s| s.tracer == active.tracer.id) {
-                    slot.current = active.parent;
-                }
-            });
-        }
+        self.hist = None;
+        self.leave();
+    }
+
+    /// Closes the span, restoring its parent as this thread's innermost.
+    fn leave(&mut self) -> Option<ActiveSpan> {
+        let span = self.span.take()?;
+        LOCAL.with(|slots| {
+            let mut slots = slots.borrow_mut();
+            if let Some(slot) = slots.iter_mut().find(|s| s.tracer == self.tracer.id) {
+                slot.current = span.parent;
+            }
+        });
+        Some(span)
     }
 }
 
-impl Drop for SpanGuard {
+impl Drop for Stage<'_> {
     fn drop(&mut self) {
-        let Some(active) = self.active.take() else {
+        let span = self.leave();
+        if span.is_none() && self.hist.is_none() {
             return;
-        };
-        let now = active.tracer.clock.now_ns();
-        // Restore the parent as the innermost open span.
-        LOCAL.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            if let Some(slot) = slots.iter_mut().find(|s| s.tracer == active.tracer.id) {
-                slot.current = active.parent;
-            }
-        });
-        finish(
-            &active.tracer,
-            &active.ring,
-            SpanRecord {
-                id: active.id,
-                parent: active.parent,
-                stage: active.stage,
-                start_ns: active.start_ns,
-                duration_ns: now.saturating_sub(active.start_ns),
-                thread: active.ring.thread,
-            },
-        );
+        }
+        let duration_ns = self.tracer.clock.now_ns().saturating_sub(self.start_ns);
+        if let Some(hist) = self.hist {
+            hist.observe_duration(Duration::from_nanos(duration_ns));
+        }
+        if let Some(span) = span {
+            let record = SpanRecord {
+                id: span.id,
+                parent: span.parent,
+                stage: span.stage,
+                start_ns: self.start_ns,
+                duration_ns,
+                thread: span.ring.thread,
+            };
+            finish(self.tracer, &span.ring, record);
+        }
     }
 }
 
@@ -646,25 +600,60 @@ mod tests {
         for _ in 0..100 {
             let _g = tracer.span("stage");
         }
-        tracer.record_span("retro", 0);
-        assert!(tracer.start().is_none());
         assert_eq!(clock.reads(), 0, "disabled path must not touch the clock");
         assert!(tracer.spans().is_empty());
     }
 
+    fn stage_hist() -> Histogram {
+        crate::Telemetry::new().histogram("stage_seconds", "stage time")
+    }
+
     #[test]
-    fn record_span_is_retroactive_and_parented() {
+    fn a_stage_feeds_span_and_histogram_from_two_clock_reads() {
         let (clock, tracer) = mock_tracer();
+        let hist = stage_hist();
         clock.set_ns(1_000);
-        let _outer = tracer.span("outer");
-        let start = tracer.start().expect("enabled");
-        clock.advance_ns(400);
-        tracer.record_span("inner", start);
+        let outer = tracer.span("outer");
+        let reads = clock.reads();
+        {
+            let _stage = tracer.stage("inner", &hist);
+            clock.advance_ns(400);
+        }
+        assert_eq!(clock.reads() - reads, 2, "one read at start, one at end");
+        drop(outer);
         let spans = tracer.spans();
+        let outer = spans.iter().find(|s| s.stage == "outer").unwrap();
         let inner = spans.iter().find(|s| s.stage == "inner").unwrap();
-        assert_eq!(inner.start_ns, 1_000);
-        assert_eq!(inner.duration_ns, 400);
-        assert_ne!(inner.parent, 0, "parented under the open span");
+        assert_eq!(inner.parent, outer.id, "parented under the open span");
+        assert_eq!((inner.start_ns, inner.duration_ns), (1_000, 400));
+        assert_eq!(hist.count(), 1);
+        assert_eq!(hist.sum(), 400e-9, "the histogram saw the span's duration");
+    }
+
+    #[test]
+    fn a_cancelled_stage_records_nothing() {
+        let (clock, tracer) = mock_tracer();
+        let hist = stage_hist();
+        let stage = tracer.stage("cancelled", &hist);
+        clock.advance_ns(10);
+        stage.cancel();
+        assert_eq!(clock.reads(), 1, "only the start was read");
+        assert_eq!(hist.count(), 0);
+        assert!(tracer.spans().is_empty());
+    }
+
+    #[test]
+    fn a_stage_under_a_disabled_tracer_only_observes_the_histogram() {
+        let (clock, tracer) = mock_tracer();
+        tracer.set_enabled(false);
+        let hist = stage_hist();
+        {
+            let _stage = tracer.stage("stage", &hist);
+            clock.advance_ns(250);
+        }
+        assert_eq!(clock.reads(), 2);
+        assert_eq!((hist.count(), hist.sum()), (1, 250e-9));
+        assert!(tracer.spans().is_empty());
     }
 
     #[test]

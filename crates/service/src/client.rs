@@ -224,7 +224,7 @@ impl ServiceClient {
     }
 
     /// Reads the stream's journalled events, oldest first (every answered
-    /// push is already analysed, so fleet-side events reflect everything
+    /// push is already analysed, so the journal reflects everything
     /// pushed so far).
     ///
     /// # Errors

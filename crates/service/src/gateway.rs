@@ -6,14 +6,23 @@
 //! threads, so sessions scale past thread-per-connection limits.
 //!
 //! Every request that touches analysis state takes the one mutex around
-//! the `SessionTable` — the session registry and the external-ingest
-//! [`FleetScheduler`] it feeds (kernels from the shared
-//! [`hrv_core::KernelCache`]). A push is analysed on the shard that
-//! decoded it: the batch goes through the fleet's ingest gate and every
-//! window it completes is computed before `Pushed` is sent, so the
+//! the external-ingest [`FleetScheduler`] (kernels from the shared
+//! [`hrv_core::KernelCache`]). The fleet is the only session registry:
+//! a session is an open fleet stream, and that stream's journal is the
+//! one record of its admissions, `Busy` refusals and analysis events,
+//! in one sequence. Admission is decided here, under the same lock:
+//! the gateway must be running, the session limit holds, and a push of
+//! more than [`SessionConfig::queue_capacity`] samples is refused whole
+//! with [`ServiceError::Busy`] — it leaves no state behind, and the same
+//! samples succeed in smaller batches.
+//!
+//! A push is analysed on the shard that decoded it: the batch goes
+//! through the fleet's [`hrv_stream::RrIngest`] (the one plausibility
+//! gate: `hrv-delineate`'s interval bounds, monotone beat time) and
+//! every window it completes is computed before `Pushed` is sent, so the
 //! windows are already visible to the next `ReadHealth` or
 //! `ReadReport`. A shard therefore waits at most for another push's
-//! bounded compute ([`SessionConfig::queue_capacity`] samples).
+//! bounded compute.
 //!
 //! Shutdown: whichever caller moves the state from running to draining
 //! — a shard serving `Shutdown`, or [`GatewayHandle::shutdown`] /
@@ -28,21 +37,27 @@ use crate::client::ServiceClient;
 use crate::error::ServiceError;
 use crate::frame::MAX_FRAME;
 use crate::proto::{
-    HealthSnapshot, Reply, Request, StageLatency, StageSlow, StreamHealth, PROTOCOL_VERSION,
+    HealthSnapshot, Pushed, Reply, Request, StageLatency, StageSlow, StreamHealth, PROTOCOL_VERSION,
 };
 use crate::reactor::{self, ReactorConfig, ServeOutcome, ShardHandle, ShardService};
-use crate::session::{SessionConfig, SessionTable, STATE_DONE, STATE_DRAINING, STATE_RUNNING};
 use hrv_core::{
-    lock_unpoisoned, Counter, HealthConfig, HealthEngine, Histogram, MonotonicClock, PsaConfig,
-    PsaError, Slo, SpectralPlan, Telemetry, Tracer,
+    lock_unpoisoned, Counter, Gauge, HealthConfig, HealthEngine, Histogram, MonotonicClock,
+    PsaConfig, PsaError, Slo, SpectralPlan, Telemetry, Tracer,
 };
-use hrv_stream::{FleetScheduler, StreamReport};
+use hrv_stream::{FleetScheduler, StreamEvent, StreamReport};
 use std::collections::BTreeMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Gateway lifecycle: accepting work.
+pub(crate) const STATE_RUNNING: u8 = 0;
+/// Gateway lifecycle: draining; no new work admitted.
+pub(crate) const STATE_DRAINING: u8 = 1;
+/// Gateway lifecycle: drained; final reports published.
+pub(crate) const STATE_DONE: u8 = 2;
 
 /// Hard ceiling on [`SessionConfig::max_sessions`], chosen so the
 /// `ShutdownAck` frame carrying every stream's final report stays under
@@ -50,6 +65,26 @@ use std::time::{Duration, Instant};
 /// of an 8 MiB frame). [`Gateway::start`] clamps larger configured
 /// values to this.
 pub const MAX_SESSIONS: usize = 16384;
+
+/// Session admission limits.
+#[derive(Clone, Debug)]
+pub struct SessionConfig {
+    /// Maximum concurrently open sessions.
+    pub max_sessions: usize,
+    /// Maximum samples (or beats) per push; a longer batch draws
+    /// [`ServiceError::Busy`]. It bounds how long one push can hold the
+    /// analysis lock.
+    pub queue_capacity: usize,
+}
+
+impl Default for SessionConfig {
+    fn default() -> Self {
+        SessionConfig {
+            max_sessions: 64,
+            queue_capacity: 4096,
+        }
+    }
+}
 
 /// Gateway construction parameters.
 ///
@@ -82,10 +117,11 @@ pub struct GatewayConfig {
     /// without bound.
     pub max_connections: usize,
     /// Span tracer threaded through every pipeline stage (request
-    /// handling, push dispatch, fleet window compute). The default is
-    /// [`Tracer::disabled`] — one relaxed atomic load per would-be span,
-    /// no clock reads. Pass [`Tracer::monotonic`] to record, then pull
-    /// spans/Chrome JSON from [`GatewayHandle::tracer`].
+    /// handling, push dispatch, fleet window compute); its clock also
+    /// times the stage histograms. The default is [`Tracer::disabled`] —
+    /// one relaxed atomic load per would-be span, no extra clock reads.
+    /// Pass [`Tracer::monotonic`] to record, then pull spans/Chrome JSON
+    /// from [`GatewayHandle::tracer`].
     pub tracer: Tracer,
     /// Burn-rate engine tuning for the built-in SLO catalog served by
     /// `ReadHealth`. The default ([`HealthConfig::default`]) has
@@ -110,13 +146,18 @@ impl Default for GatewayConfig {
     }
 }
 
-/// State shared by every gateway thread.
+/// State shared by every gateway thread: the analysis lock, the
+/// admission limits and the gateway's instruments.
 struct Shared {
-    state: Arc<AtomicU8>,
-    /// The one analysis lock: session registry and fleet together.
-    sessions: Mutex<SessionTable>,
+    state: AtomicU8,
+    /// The one analysis lock. Its fleet is the session registry: one
+    /// open stream per session, each with its one journal. "Is the
+    /// gateway still admitting work?" is decided under this lock, so
+    /// once the drain holds it after `STATE_DRAINING`, no sample can
+    /// reach the fleet any more.
+    fleet: Mutex<FleetScheduler>,
     telemetry: Telemetry,
-    session_config: SessionConfig,
+    session: SessionConfig,
     final_reports: Mutex<Option<Vec<StreamReport>>>,
     /// Wake handles of the reactor shards, so the end of the drain
     /// interrupts their `epoll_wait` immediately.
@@ -124,10 +165,14 @@ struct Shared {
     connections_total: Counter,
     frames_total: Counter,
     errors_total: Counter,
+    open_gauge: Gauge,
+    accepted_total: Counter,
+    gated_total: Counter,
+    busy_total: Counter,
     tracer: Tracer,
     /// The burn-rate engine behind `ReadHealth`. Locked only inside
-    /// that handler, after the session lock is released — the two never
-    /// nest.
+    /// that handler, after the analysis lock is released — the two
+    /// never nest.
     health: Mutex<HealthEngine>,
     /// Socket-read work per completed frame (bytes-available →
     /// frame-complete; idle waits excluded — they land in
@@ -140,16 +185,192 @@ struct Shared {
     frame_decode_hist: Histogram,
     /// [`Reply`] encode time per frame (socket write excluded).
     report_encode_hist: Histogram,
+    /// `hrv_service_pump_dispatch_seconds` — one push's inline fleet
+    /// call, window compute included.
+    dispatch_hist: Histogram,
 }
 
 impl Shared {
+    /// The gateway state around an external-ingest fleet over `plan`,
+    /// its telemetry registered and its reactor wake handles made.
+    fn new(plan: SpectralPlan, config: &GatewayConfig) -> Result<Shared, ServiceError> {
+        let mut fleet = FleetScheduler::external(plan, 1).map_err(ServiceError::from)?;
+        let telemetry = Telemetry::new();
+        fleet.set_observability(&telemetry, config.tracer.clone());
+        // Constant build-info gauge: a scrape (or `hrv-top`) can tell at
+        // a glance which protocol, SIMD dispatch level and crate version
+        // the gateway is running.
+        telemetry
+            .gauge_with(
+                "hrv_build_info",
+                "constant 1; build identity in the labels",
+                &[
+                    ("protocol_version", &PROTOCOL_VERSION.to_string()),
+                    ("simd_level", hrv_dsp::SimdLevel::active().as_str()),
+                    ("version", env!("CARGO_PKG_VERSION")),
+                ],
+            )
+            .set(1.0);
+        Ok(Shared {
+            state: AtomicU8::new(STATE_RUNNING),
+            fleet: Mutex::new(fleet),
+            session: config.session.clone(),
+            final_reports: Mutex::new(None),
+            shards: reactor::shard_handles(config.reactors)?,
+            health: Mutex::new(default_health_engine(&telemetry, config.health.clone())),
+            connections_total: telemetry.counter(
+                "hrv_service_connections_total",
+                "client connections accepted",
+            ),
+            frames_total: telemetry.counter("hrv_service_frames_total", "request frames decoded"),
+            errors_total: telemetry.counter("hrv_service_errors_total", "error replies sent"),
+            open_gauge: telemetry.gauge("hrv_service_sessions_open", "currently open sessions"),
+            accepted_total: telemetry.counter(
+                "hrv_service_samples_admitted_total",
+                "samples accepted by the ingest plausibility gate",
+            ),
+            gated_total: telemetry.counter(
+                "hrv_service_samples_gated_total",
+                "samples rejected by the ingest plausibility gate",
+            ),
+            busy_total: telemetry.counter(
+                "hrv_service_busy_total",
+                "pushes refused with Busy (batch above the per-push bound)",
+            ),
+            tracer: config.tracer.clone(),
+            frame_read_hist: telemetry.histogram(
+                "hrv_service_frame_read_seconds",
+                "socket-read work per completed request frame (idle wait excluded)",
+            ),
+            conn_idle_hist: telemetry.histogram(
+                "hrv_service_conn_idle_seconds",
+                "connection idle time between frames (socket wait, no bytes in flight)",
+            ),
+            frame_decode_hist: telemetry.histogram(
+                "hrv_service_frame_decode_seconds",
+                "wire-to-request decode time per frame",
+            ),
+            report_encode_hist: telemetry.histogram(
+                "hrv_service_report_encode_seconds",
+                "reply encode time per frame (socket write excluded)",
+            ),
+            dispatch_hist: telemetry.histogram(
+                "hrv_service_pump_dispatch_seconds",
+                "one push fed into the fleet, the windows it completed computed",
+            ),
+            telemetry,
+        })
+    }
+
+    fn admitting(&self) -> Result<(), ServiceError> {
+        if self.state.load(Ordering::SeqCst) == STATE_RUNNING {
+            Ok(())
+        } else {
+            Err(ServiceError::ShuttingDown)
+        }
+    }
+
+    /// Admits a new session: opens its fleet stream.
+    fn open(&self, id: u64) -> Result<(), ServiceError> {
+        let mut fleet = lock_unpoisoned(&self.fleet);
+        self.admitting()?;
+        if fleet.is_open(id as usize) {
+            return Err(ServiceError::DuplicateStream(id));
+        }
+        if fleet.streams() >= self.session.max_sessions {
+            return Err(ServiceError::SessionLimit {
+                max: self.session.max_sessions as u32,
+            });
+        }
+        fleet.open_stream(id as usize)?;
+        self.open_gauge.set(fleet.streams() as f64);
+        Ok(())
+    }
+
+    /// `(beat time, RR)` batch: gated by the fleet's ingest, windows
+    /// computed before this returns.
+    fn push_rr(&self, id: u64, samples: &[(f64, f64)]) -> Result<Pushed, ServiceError> {
+        self.push(id, samples.len(), |fleet| {
+            fleet.push_rr_batch(id as usize, samples)
+        })
+    }
+
+    /// Raw beat-time batch, through the ingest's delineate filter.
+    fn push_beats(&self, id: u64, beats: &[f64]) -> Result<Pushed, ServiceError> {
+        self.push(id, beats.len(), |fleet| {
+            fleet.push_beat_batch(id as usize, beats)
+        })
+    }
+
+    /// Admission, then the inline fleet call (the `push_dispatch`
+    /// stage), then the push's accounting. Refusals and admissions land
+    /// in the stream's journal.
+    fn push(
+        &self,
+        id: u64,
+        len: usize,
+        feed: impl FnOnce(&mut FleetScheduler) -> Result<usize, PsaError>,
+    ) -> Result<Pushed, ServiceError> {
+        let mut fleet = lock_unpoisoned(&self.fleet);
+        self.admitting()?;
+        if !fleet.is_open(id as usize) {
+            return Err(ServiceError::UnknownStream(id));
+        }
+        let capacity = self.session.queue_capacity as u32;
+        if len > self.session.queue_capacity {
+            fleet.record_stream_event(
+                id as usize,
+                StreamEvent::BusyRefusal {
+                    queue_depth: 0,
+                    capacity,
+                },
+            )?;
+            self.busy_total.inc();
+            return Err(ServiceError::Busy {
+                stream: id,
+                capacity,
+            });
+        }
+        let accepted = {
+            let _dispatch = self.tracer.stage("push_dispatch", &self.dispatch_hist);
+            feed(&mut fleet)? as u32
+        };
+        let gated = len as u32 - accepted;
+        self.accepted_total.add(u64::from(accepted));
+        self.gated_total.add(u64::from(gated));
+        fleet.record_stream_event(id as usize, StreamEvent::Admission { accepted, gated })?;
+        Ok(Pushed {
+            stream: id,
+            accepted,
+            gated,
+            queue_depth: 0,
+        })
+    }
+
+    /// Closes session `id`'s fleet stream, flushing the trailing windows
+    /// into the returned final report.
+    fn close(&self, id: u64) -> Result<StreamReport, ServiceError> {
+        let mut fleet = lock_unpoisoned(&self.fleet);
+        let report = fleet.close_stream(id as usize)?;
+        self.open_gauge.set(fleet.streams() as f64);
+        Ok(report)
+    }
+
+    /// Publishes the fleet's throughput and kernel-cache gauges.
+    fn publish(&self, fleet: &FleetScheduler) {
+        fleet.report().publish(&self.telemetry);
+        fleet.kernel_cache().publish(&self.telemetry);
+    }
+
     /// Moves the gateway from running to draining. The caller that wins
     /// the transition runs the drain synchronously and returns once the
     /// final reports are published; every other caller returns at once.
     ///
-    /// `STATE_DRAINING` is visible before the drain takes the session
+    /// `STATE_DRAINING` is visible before the drain takes the analysis
     /// lock, so every push that can still reach the fleet already has,
-    /// and the final reports are complete.
+    /// and the final reports are complete. The drain flushes every
+    /// stream's trailing windows, publishes the final fleet telemetry
+    /// and keeps the id-ordered final reports, leaving the fleet empty.
     fn begin_drain(&self) {
         let won = self
             .state
@@ -162,7 +383,13 @@ impl Shared {
             .is_ok();
         if won {
             let _done = DoneGuard(self);
-            let reports = lock_unpoisoned(&self.sessions).close_all(&self.telemetry);
+            let reports = {
+                let mut fleet = lock_unpoisoned(&self.fleet);
+                fleet.finish();
+                self.publish(&fleet);
+                self.open_gauge.set(0.0);
+                fleet.close_all()
+            };
             *lock_unpoisoned(&self.final_reports) = Some(reports);
         }
     }
@@ -234,67 +461,10 @@ impl Gateway {
         // (budgeting 256 bytes per wire report, ~4× the actual size).
         // The clamped value is what HelloAck advertises.
         config.session.max_sessions = config.session.max_sessions.min(MAX_SESSIONS);
-        let mut fleet = FleetScheduler::external(plan, 1).map_err(ServiceError::from)?;
+        let shared = Arc::new(Shared::new(plan, &config)?);
         let listener = TcpListener::bind(&config.addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let telemetry = Telemetry::new();
-        fleet.set_observability(&telemetry, config.tracer.clone());
-        // Constant build-info gauge: a scrape (or `hrv-top`) can tell at
-        // a glance which protocol, SIMD dispatch level and crate version
-        // the gateway is running.
-        telemetry
-            .gauge_with(
-                "hrv_build_info",
-                "constant 1; build identity in the labels",
-                &[
-                    ("protocol_version", &PROTOCOL_VERSION.to_string()),
-                    ("simd_level", hrv_dsp::SimdLevel::active().as_str()),
-                    ("version", env!("CARGO_PKG_VERSION")),
-                ],
-            )
-            .set(1.0);
-        let health = Mutex::new(default_health_engine(&telemetry, config.health.clone()));
-        let state = Arc::new(AtomicU8::new(STATE_RUNNING));
-        let shards = reactor::shard_handles(config.reactors)?;
-        let shared = Arc::new(Shared {
-            state: state.clone(),
-            sessions: Mutex::new(SessionTable::new(
-                fleet,
-                config.session.clone(),
-                &telemetry,
-                config.tracer.clone(),
-                state,
-            )),
-            telemetry: telemetry.clone(),
-            session_config: config.session.clone(),
-            final_reports: Mutex::new(None),
-            shards,
-            health,
-            connections_total: telemetry.counter(
-                "hrv_service_connections_total",
-                "client connections accepted",
-            ),
-            frames_total: telemetry.counter("hrv_service_frames_total", "request frames decoded"),
-            errors_total: telemetry.counter("hrv_service_errors_total", "error replies sent"),
-            tracer: config.tracer.clone(),
-            frame_read_hist: telemetry.histogram(
-                "hrv_service_frame_read_seconds",
-                "socket-read work per completed request frame (idle wait excluded)",
-            ),
-            conn_idle_hist: telemetry.histogram(
-                "hrv_service_conn_idle_seconds",
-                "connection idle time between frames (socket wait, no bytes in flight)",
-            ),
-            frame_decode_hist: telemetry.histogram(
-                "hrv_service_frame_decode_seconds",
-                "wire-to-request decode time per frame",
-            ),
-            report_encode_hist: telemetry.histogram(
-                "hrv_service_report_encode_seconds",
-                "reply encode time per frame (socket write excluded)",
-            ),
-        });
         let reactor_config = ReactorConfig {
             max_connections: config.max_connections.max(1),
             write_buffer: config.write_buffer,
@@ -380,11 +550,9 @@ impl GatewayHandle {
     /// # Errors
     ///
     /// Returns [`ServiceError::Io`] when a service thread panicked.
-    pub fn shutdown(mut self) -> Result<Vec<StreamReport>, ServiceError> {
+    pub fn shutdown(self) -> Result<Vec<StreamReport>, ServiceError> {
         self.shared.begin_drain();
-        self.join()?;
-        let reports = lock_unpoisoned(&self.shared.final_reports).clone();
-        reports.ok_or_else(|| ServiceError::Io("gateway drained without reports".into()))
+        self.wait()
     }
 
     /// Blocks until the gateway shuts down (a client sent `Shutdown`, or
@@ -425,9 +593,10 @@ impl Drop for GatewayHandle {
 
 impl ShardService for Shared {
     /// Serves one decoded frame on a reactor shard: decode → (hello
-    /// gate) → handle → encode, each stage spanned and timed. A
-    /// `Shutdown` parks the connection (see `handle_request`); the
-    /// shard's drain epilogue sends the `ShutdownAck`.
+    /// gate) → handle → encode, decode and encode each one
+    /// [`hrv_core::Stage`]. A `Shutdown` parks the connection (see
+    /// `handle_request`); the shard's drain epilogue sends the
+    /// `ShutdownAck`.
     fn serve(&self, handshaken: &mut bool, body: &[u8]) -> ServeOutcome {
         self.frames_total.inc();
         // The root span covers decode → handle → encode; socket reads
@@ -435,11 +604,8 @@ impl ShardService for Shared {
         // a slow request.
         let request_span = self.tracer.span("request");
         let decoded = {
-            let _decode = self.tracer.span("frame_decode");
-            let started = Instant::now();
-            let decoded = Request::decode(body);
-            self.frame_decode_hist.observe_duration(started.elapsed());
-            decoded
+            let _decode = self.tracer.stage("frame_decode", &self.frame_decode_hist);
+            Request::decode(body)
         };
         let reply = match decoded {
             // Version negotiation is not optional: Hello must come
@@ -467,11 +633,8 @@ impl ShardService for Shared {
             self.errors_total.inc();
         }
         let encoded = {
-            let _encode = self.tracer.span("report_encode");
-            let started = Instant::now();
-            let encoded = reply.encode();
-            self.report_encode_hist.observe_duration(started.elapsed());
-            encoded
+            let _encode = self.tracer.stage("report_encode", &self.report_encode_hist);
+            reply.encode()
         };
         drop(request_span);
         ServeOutcome::Reply(encoded)
@@ -526,44 +689,27 @@ fn handle_request(shared: &Shared, request: Request) -> Option<Reply> {
                 Reply::HelloAck {
                     version: PROTOCOL_VERSION,
                     max_frame: MAX_FRAME as u32,
-                    max_sessions: shared.session_config.max_sessions as u32,
+                    max_sessions: shared.session.max_sessions as u32,
                 }
             }
         }
-        Request::OpenStream { stream } => match lock_unpoisoned(&shared.sessions).open(stream) {
-            Ok(()) => Reply::StreamOpened { stream },
-            Err(err) => Reply::Error(err),
-        },
+        Request::OpenStream { stream } => {
+            reply_with(shared.open(stream), |()| Reply::StreamOpened { stream })
+        }
         Request::PushRr { stream, samples } => {
-            match lock_unpoisoned(&shared.sessions).push_rr(stream, &samples) {
-                Ok(pushed) => Reply::Pushed(pushed),
-                Err(err) => Reply::Error(err),
-            }
+            reply_with(shared.push_rr(stream, &samples), Reply::Pushed)
         }
         Request::PushBeats { stream, beats } => {
-            match lock_unpoisoned(&shared.sessions).push_beats(stream, &beats) {
-                Ok(pushed) => Reply::Pushed(pushed),
-                Err(err) => Reply::Error(err),
-            }
+            reply_with(shared.push_beats(stream, &beats), Reply::Pushed)
         }
-        Request::ReadReport { stream } => {
-            match lock_unpoisoned(&shared.sessions)
-                .fleet
-                .stream_report(stream as usize)
-            {
-                Ok(report) => Reply::Report(report),
-                Err(err) => Reply::Error(err.into()),
-            }
-        }
-        Request::SetQuality { stream, mode } => {
-            match lock_unpoisoned(&shared.sessions)
-                .fleet
-                .set_stream_mode(stream as usize, mode)
-            {
-                Ok(backend) => Reply::QualitySet { stream, backend },
-                Err(err) => Reply::Error(err.into()),
-            }
-        }
+        Request::ReadReport { stream } => reply_with(
+            lock_unpoisoned(&shared.fleet).stream_report(stream as usize),
+            Reply::Report,
+        ),
+        Request::SetQuality { stream, mode } => reply_with(
+            lock_unpoisoned(&shared.fleet).set_stream_mode(stream as usize, mode),
+            |backend| Reply::QualitySet { stream, backend },
+        ),
         Request::SetBudget { stream, budget } => {
             // Validate at the gateway, before anything reaches the fleet
             // or a governor: the wire codec decodes arbitrary f64 bit
@@ -572,42 +718,39 @@ fn handle_request(shared: &Shared, request: Request) -> Option<Reply> {
             if let Err(err) = budget.validate() {
                 return Some(Reply::Error(ServiceError::InvalidTarget(err.to_string())));
             }
-            match lock_unpoisoned(&shared.sessions)
-                .fleet
-                .set_stream_budget(stream as usize, budget)
-            {
-                Ok(backend) => Reply::BudgetSet { stream, backend },
-                Err(err) => Reply::Error(err.into()),
-            }
+            reply_with(
+                lock_unpoisoned(&shared.fleet).set_stream_budget(stream as usize, budget),
+                |backend| Reply::BudgetSet { stream, backend },
+            )
         }
-        Request::ReadBudget { stream } => {
-            match lock_unpoisoned(&shared.sessions)
-                .fleet
-                .stream_budget(stream as usize)
-            {
-                Ok(status) => Reply::Budget(status),
-                Err(err) => Reply::Error(err.into()),
-            }
-        }
+        Request::ReadBudget { stream } => reply_with(
+            lock_unpoisoned(&shared.fleet).stream_budget(stream as usize),
+            Reply::Budget,
+        ),
         Request::ReadMetrics => {
-            lock_unpoisoned(&shared.sessions).publish(&shared.telemetry);
+            shared.publish(&lock_unpoisoned(&shared.fleet));
             Reply::Metrics(shared.telemetry.render())
         }
         Request::ReadHealth => Reply::Health(read_health(shared)),
-        Request::ReadEvents { stream } => match lock_unpoisoned(&shared.sessions).events(stream) {
-            Ok(events) => Reply::Events { stream, events },
-            Err(err) => Reply::Error(err),
-        },
-        Request::CloseStream { stream } => match lock_unpoisoned(&shared.sessions).close(stream) {
-            Ok(report) => Reply::Closed(report),
-            Err(err) => Reply::Error(err),
-        },
+        Request::ReadEvents { stream } => reply_with(
+            lock_unpoisoned(&shared.fleet).stream_events(stream as usize),
+            |events| Reply::Events { stream, events },
+        ),
+        Request::CloseStream { stream } => reply_with(shared.close(stream), Reply::Closed),
         Request::Shutdown => {
             shared.begin_drain();
             return None;
         }
     };
     Some(reply)
+}
+
+/// `ok`'s reply to a request's result, or its typed error reply.
+fn reply_with<T, E: Into<ServiceError>>(
+    result: Result<T, E>,
+    ok: impl FnOnce(T) -> Reply,
+) -> Reply {
+    result.map_or_else(|err| Reply::Error(err.into()), ok)
 }
 
 /// Pipeline-stage histogram families surfaced as [`StageLatency`] rows
@@ -627,10 +770,10 @@ const STAGE_FAMILIES: [&str; 7] = [
 /// Builds the `ReadHealth` snapshot: one burn-rate evaluation tick plus
 /// point-in-time stage, stream and slow-request views.
 ///
-/// The session lock is taken (for stream reports) and released before
+/// The analysis lock is taken (for stream reports) and released before
 /// the health lock — the two never nest.
 fn read_health(shared: &Shared) -> HealthSnapshot {
-    let reports = lock_unpoisoned(&shared.sessions).fleet.stream_reports();
+    let reports = lock_unpoisoned(&shared.fleet).stream_reports();
     let streams = reports
         .into_iter()
         .map(|report| StreamHealth {
@@ -685,7 +828,201 @@ fn read_health(shared: &Shared) -> HealthSnapshot {
 mod tests {
     use super::*;
     use hrv_core::AlertState;
-    use hrv_stream::StreamEvent;
+
+    /// Gateway state without sockets, for driving admission directly.
+    fn shared(max_sessions: usize, queue_capacity: usize) -> Shared {
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("plan");
+        let config = GatewayConfig {
+            session: SessionConfig {
+                max_sessions,
+                queue_capacity,
+            },
+            ..GatewayConfig::default()
+        };
+        Shared::new(plan, &config).expect("gateway state")
+    }
+
+    fn ingest(shared: &Shared, id: usize) -> hrv_stream::IngestStats {
+        let fleet = lock_unpoisoned(&shared.fleet);
+        fleet.stream_report(id).expect("report").ingest
+    }
+
+    #[test]
+    fn admission_limits_are_enforced() {
+        let shared = shared(2, 16);
+        shared.open(1).expect("first");
+        shared.open(2).expect("second");
+        assert_eq!(
+            shared.open(1).unwrap_err(),
+            ServiceError::DuplicateStream(1)
+        );
+        assert_eq!(
+            shared.open(3).unwrap_err(),
+            ServiceError::SessionLimit { max: 2 }
+        );
+        assert_eq!(lock_unpoisoned(&shared.fleet).streams(), 2);
+        // Closing frees a slot.
+        shared.close(1).expect("close");
+        shared.open(3).expect("freed slot");
+        let ids: Vec<usize> = lock_unpoisoned(&shared.fleet)
+            .stream_reports()
+            .iter()
+            .map(|r| r.id)
+            .collect();
+        assert_eq!(ids, vec![2, 3]);
+    }
+
+    #[test]
+    fn plausibility_gate_reuses_delineate_rules() {
+        let shared = shared(4, 16);
+        shared.open(1).expect("open");
+        let outcome = shared
+            .push_rr(
+                1,
+                &[
+                    (1.0, 0.8), // fine
+                    (0.5, 0.8), // time going backwards
+                    (2.0, 0.1), // below MIN_RR (double detection)
+                    (3.0, 3.0), // above MAX_RR (dropout)
+                    (3.5, 0.9), // fine
+                ],
+            )
+            .expect("admitted");
+        assert_eq!((outcome.accepted, outcome.gated), (2, 3));
+        assert_eq!(outcome.queue_depth, 0, "nothing queues: the fleet ingested");
+        let ingest = ingest(&shared, 1);
+        assert_eq!(ingest.accepted, 2);
+        assert_eq!(ingest.rejected_out_of_order, 1);
+    }
+
+    #[test]
+    fn non_finite_wire_values_are_gated_and_do_not_poison_the_session() {
+        let shared = shared(4, 16);
+        shared.open(1).expect("open");
+        let outcome = shared
+            .push_rr(
+                1,
+                &[
+                    (f64::NAN, 0.8),      // NaN beat time
+                    (f64::INFINITY, 0.8), // infinite beat time
+                    (1.0, f64::NAN),      // NaN interval
+                    (2.0, f64::INFINITY), // infinite interval
+                ],
+            )
+            .expect("admitted");
+        assert_eq!((outcome.accepted, outcome.gated), (0, 4));
+        // The ordering gate still works afterwards — nothing was poisoned.
+        let outcome = shared
+            .push_rr(1, &[(1.0, 0.8), (0.5, 0.8), (2.0, 0.8)])
+            .expect("admitted");
+        assert_eq!((outcome.accepted, outcome.gated), (2, 1));
+    }
+
+    #[test]
+    fn beats_are_converted_and_gated_like_the_batch_delineator() {
+        let shared = shared(4, 16);
+        shared.open(1).expect("open");
+        let outcome = shared
+            .push_beats(1, &[0.0, 0.8, 0.82, 5.0, 5.8])
+            .expect("admitted");
+        // Anchor, accepted, double detection, dropout, accepted-after-restart.
+        assert_eq!((outcome.accepted, outcome.gated), (2, 3));
+        let ingest = ingest(&shared, 1);
+        assert_eq!(ingest.accepted, 2);
+        assert_eq!((ingest.rejected_short, ingest.rejected_dropout), (1, 1));
+    }
+
+    #[test]
+    fn oversized_push_is_refused_whole() {
+        let shared = shared(4, 4);
+        shared.open(7).expect("open");
+        let batch: Vec<(f64, f64)> = (0..6).map(|i| (i as f64 + 1.0, 0.8)).collect();
+        assert_eq!(
+            shared.push_rr(7, &batch).unwrap_err(),
+            ServiceError::Busy {
+                stream: 7,
+                capacity: 4
+            }
+        );
+        // Nothing was ingested — the refusal leaves no state behind, so
+        // the same samples succeed in bound-sized batches, and nothing
+        // accumulates between pushes.
+        assert_eq!(ingest(&shared, 7).accepted, 0);
+        for chunk in batch.chunks(4) {
+            let outcome = shared.push_rr(7, chunk).expect("fits");
+            assert_eq!(outcome.accepted as usize, chunk.len());
+        }
+        assert!(matches!(
+            shared.push_beats(7, &[0.0; 5]),
+            Err(ServiceError::Busy { .. })
+        ));
+        let kinds: Vec<&str> = lock_unpoisoned(&shared.fleet)
+            .stream_events(7)
+            .expect("events")
+            .iter()
+            .map(|e| e.event.kind())
+            .collect();
+        // The two admitted pushes share one coalesced record.
+        assert_eq!(kinds, ["busy_refusal", "admission", "busy_refusal"]);
+    }
+
+    #[test]
+    fn per_push_bound_counts_every_wire_sample() {
+        let shared = shared(4, 4);
+        shared.open(1).expect("open");
+        // 8 samples of which only 4 would pass the gate: the bound is
+        // on wire samples (the work a push buys), so the batch is refused.
+        let batch: Vec<(f64, f64)> = (0..8)
+            .map(|i| {
+                if i % 2 == 0 {
+                    (i as f64 + 1.0, 0.8)
+                } else {
+                    (i as f64 + 1.5, 9.0) // dropout, gated
+                }
+            })
+            .collect();
+        assert!(matches!(
+            shared.push_rr(1, &batch),
+            Err(ServiceError::Busy { capacity: 4, .. })
+        ));
+        let outcome = shared.push_rr(1, &batch[..4]).expect("fits");
+        assert_eq!((outcome.accepted, outcome.gated), (2, 2));
+    }
+
+    #[test]
+    fn draining_state_stops_admission_inside_the_lock() {
+        let shared = shared(4, 16);
+        shared.open(1).expect("open while running");
+        shared.state.store(STATE_DRAINING, Ordering::SeqCst);
+        assert_eq!(shared.open(2).unwrap_err(), ServiceError::ShuttingDown);
+        assert_eq!(
+            shared.push_rr(1, &[(1.0, 0.8)]).unwrap_err(),
+            ServiceError::ShuttingDown
+        );
+        // Closing still works.
+        assert_eq!(shared.close(1).expect("close").ingest.accepted, 0);
+    }
+
+    #[test]
+    fn close_frees_the_slot_and_returns_the_final_report() {
+        let shared = shared(64, 4096);
+        let telemetry = &shared.telemetry;
+        shared.open(5).expect("open");
+        shared.push_rr(5, &[(1.0, 0.8), (2.0, 0.9)]).expect("push");
+        assert!(telemetry.render().contains("hrv_service_sessions_open 1"));
+        assert!(
+            !telemetry.render().contains("stream=\"5\""),
+            "no per-stream series"
+        );
+        let report = shared.close(5).expect("close");
+        assert_eq!((report.id, report.ingest.accepted), (5, 2));
+        assert!(telemetry.render().contains("hrv_service_sessions_open 0"));
+        assert_eq!(shared.close(5).unwrap_err(), ServiceError::UnknownStream(5));
+        assert_eq!(
+            shared.push_rr(5, &[(3.0, 0.8)]).unwrap_err(),
+            ServiceError::UnknownStream(5)
+        );
+    }
 
     /// A loopback gateway with a per-push bound so small that any
     /// oversized push is refused `Busy` — the deterministic overload used
@@ -763,6 +1100,45 @@ mod tests {
     }
 
     #[test]
+    fn a_stream_has_one_journal_in_one_sequence() {
+        let handle = Gateway::start(GatewayConfig::default()).expect("gateway");
+        let mut client = handle.client().expect("client");
+        client.open_stream(1).expect("open");
+        let samples = hrv_stream::cohort_samples(2014, 1, 400.0);
+        let (before, after) = samples.split_at(samples.len() / 2);
+        for chunk in before.chunks(16) {
+            client.push_rr(1, chunk).expect("push");
+        }
+        let windows = client.read_report(1).expect("report").windows;
+        assert!(windows > 0, "the first half emits windows");
+        client
+            .set_quality(1, hrv_core::ApproximationMode::BandDrop)
+            .expect("set quality");
+        for chunk in after.chunks(16) {
+            client.push_rr(1, chunk).expect("push");
+        }
+        let events = client.read_events(1).expect("events");
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..events.len() as u64).collect::<Vec<_>>());
+        // Back-to-back admissions share a record, so the switch sits
+        // between the admissions before and after it.
+        let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
+        assert_eq!(kinds, ["admission", "quality_switch", "admission"]);
+        assert_eq!(events[1].window, windows, "stamped with the real window");
+        assert!(events[2].window >= windows, "admissions carry windows too");
+        let pushed: u32 = events
+            .iter()
+            .map(|e| match e.event {
+                StreamEvent::Admission { accepted, gated } => accepted + gated,
+                _ => 0,
+            })
+            .sum();
+        assert_eq!(pushed as usize, samples.len());
+        drop(client);
+        handle.shutdown().expect("shutdown");
+    }
+
+    #[test]
     fn event_journals_travel_over_the_wire() {
         let handle = tiny_bound_gateway();
         let mut client = handle.client().expect("client");
@@ -778,8 +1154,7 @@ mod tests {
             .expect("set quality");
         let events = client.read_events(1).expect("events");
         let kinds: Vec<&str> = events.iter().map(|e| e.event.kind()).collect();
-        // Session journal first (admission, refusal), then fleet
-        // journal (the operator quality switch).
+        // One journal, in the order things happened.
         assert_eq!(kinds, ["admission", "busy_refusal", "quality_switch"]);
         assert!(matches!(
             events[0].event,

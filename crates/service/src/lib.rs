@@ -11,18 +11,18 @@
 //!   ([`FrameReader`]);
 //! * [`proto`] — the typed message layer ([`Request`] / [`Reply`],
 //!   version-negotiated, floats carried bit-exactly);
-//! * [`session`] — admission control ([`SessionConfig`]: max sessions
-//!   and a per-push sample bound whose overflow answer is a typed
-//!   `Busy`) and the one lock around the session registry and the fleet;
 //! * [`reactor`] — the readiness-driven connection layer: N epoll
 //!   event-loop shards (edge-triggered reads, vectored buffered writes
 //!   with per-connection backpressure), with the raw syscall surface
 //!   confined to [`reactor::sys`] the same way `hrv-dsp` confines its
 //!   SIMD intrinsics;
-//! * [`gateway`] — the reactor shards around an external-ingest
-//!   [`hrv_stream::FleetScheduler`] (kernels from the shared `hrv-core`
-//!   execution layer): each push is gated by the fleet's ingest and its
-//!   windows computed before the reply, and graceful shutdown drains
+//! * [`gateway`] — the reactor shards around one lock on an
+//!   external-ingest [`hrv_stream::FleetScheduler`] (kernels from the
+//!   shared `hrv-core` execution layer), which is also the session
+//!   registry. Admission control ([`SessionConfig`]: max sessions and a
+//!   per-push sample bound whose overflow answer is a typed `Busy`)
+//!   runs under that lock; each push is gated by the fleet's ingest and
+//!   its windows computed before the reply, and graceful shutdown drains
 //!   every session into final per-stream reports id-ordered and
 //!   bit-identical to an equivalent offline fleet run over the same
 //!   samples;
@@ -71,13 +71,11 @@ pub mod frame;
 pub mod gateway;
 pub mod proto;
 pub mod reactor;
-pub mod session;
 
 pub use client::ServiceClient;
 pub use error::ServiceError;
 pub use frame::{write_frame, FramePoll, FrameReader, HEADER_LEN, MAX_FRAME};
-pub use gateway::{Gateway, GatewayConfig, GatewayHandle, MAX_SESSIONS};
+pub use gateway::{Gateway, GatewayConfig, GatewayHandle, SessionConfig, MAX_SESSIONS};
 pub use proto::{
     HealthSnapshot, Pushed, Reply, Request, StageLatency, StageSlow, StreamHealth, PROTOCOL_VERSION,
 };
-pub use session::SessionConfig;

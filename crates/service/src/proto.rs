@@ -174,8 +174,7 @@ pub enum Reply {
     Events {
         /// The inspected stream.
         stream: u64,
-        /// Journalled events (session admissions/refusals first, then
-        /// fleet events; each keeps its own sequence space).
+        /// Journalled events in the stream's one sequence.
         events: Vec<EventRecord>,
     },
     /// The stream's final report after its trailing windows flushed.

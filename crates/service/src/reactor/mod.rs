@@ -39,8 +39,8 @@ pub mod sys;
 
 use crate::error::ServiceError;
 use crate::frame::{FramePoll, FrameReader, HEADER_LEN};
+use crate::gateway::{STATE_DONE, STATE_RUNNING};
 use crate::proto::Reply;
-use crate::session::{STATE_DONE, STATE_RUNNING};
 use hrv_core::lock_unpoisoned;
 use std::collections::{BTreeMap, VecDeque};
 use std::io::{self, IoSlice, Write};

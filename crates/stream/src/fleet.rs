@@ -144,8 +144,9 @@ struct PatientStream {
     /// instead of a registry lookup (and allocates nothing).
     compute_hist: Option<(usize, u64, Histogram)>,
     /// Bounded forensics ring: quality switches, budget exhaustion,
-    /// battery-low crossings, drain. Keyed to the stream's window
-    /// count (never wall-clock), so shard parity holds.
+    /// battery-low crossings, drain, and a feeder's admission events.
+    /// Keyed to the stream's window count (never wall-clock), so shard
+    /// parity holds.
     journal: EventJournal,
     /// Budget-exhaustion edge detector (previous push's state).
     budget_exhausted: bool,
@@ -690,13 +691,15 @@ impl PatientStream {
             Step::Push(t, _) => self.engine.will_emit(t),
             Step::Finish => true,
         });
-        let compute = timed.map(|ins| {
-            // Directives switch backends only after the windows they
-            // observed, so the label pair in force during the compute is
-            // the pre-step one.
+        // Directives switch backends only after the windows they
+        // observed, so the label pair in force during the compute is the
+        // pre-step one.
+        if let Some(ins) = timed {
             self.refresh_compute_hist(ins);
-            (Instant::now(), ins.tracer.span("window_compute"))
-        });
+        }
+        let compute = timed
+            .zip(self.compute_hist.as_ref())
+            .map(|(ins, (_, _, hist))| ins.tracer.stage("window_compute", hist));
         let governor_hist = timed.map(|ins| &ins.governor_hist);
         let windows_before = self.windows;
         let opp = self.opp;
@@ -740,16 +743,12 @@ impl PatientStream {
             Step::Finish => self.engine.finish(scratch, &mut sink),
         };
         // A step that can emit may still emit nothing (skip rules, no
-        // trailing window); only real window computes are timed, so
-        // `_count` equals the number of emitting steps.
-        if let Some((started, span)) = compute {
+        // trailing window); only real window computes are timed (the
+        // stage records as it drops), so `_count` equals the number of
+        // emitting steps.
+        if let Some(stage) = compute {
             if self.windows == windows_before {
-                span.cancel();
-            } else {
-                drop(span);
-                if let Some((_, _, hist)) = &self.compute_hist {
-                    hist.observe_duration(started.elapsed());
-                }
+                stage.cancel();
             }
         }
         outcome
@@ -1218,7 +1217,8 @@ impl FleetScheduler {
 
     /// The bounded event journal of stream `id`, oldest first — the
     /// stream's forensics: quality/DVFS switches (with the reason),
-    /// budget exhaustion, battery-low crossings and drain. Records are
+    /// budget exhaustion, battery-low crossings, drain and
+    /// [`FleetScheduler::record_stream_event`]'s events. Records are
     /// keyed to the stream's window count, never wall-clock, so a
     /// sharded fleet returns journals bit-identical to a serial run.
     ///
@@ -1227,6 +1227,24 @@ impl FleetScheduler {
     /// Returns [`PsaError::UnknownStream`] when `id` is not open.
     pub fn stream_events(&self, id: usize) -> Result<Vec<EventRecord>, PsaError> {
         Ok(self.stream(id)?.journal.events())
+    }
+
+    /// Journals a feeder's event — the gateway's admissions and `Busy`
+    /// refusals — on stream `id`, stamped with its window count, in the
+    /// same sequence as its analysis events.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`PsaError::UnknownStream`] when `id` is not open.
+    pub fn record_stream_event(&mut self, id: usize, event: StreamEvent) -> Result<(), PsaError> {
+        let stream = self.stream_mut(id)?;
+        stream.journal.record(stream.windows, event);
+        Ok(())
+    }
+
+    /// Whether stream `id` is open.
+    pub fn is_open(&self, id: usize) -> bool {
+        self.stream(id).is_ok()
     }
 
     /// The current per-stream report of stream `id` (no finishing — the

@@ -9,7 +9,9 @@
 //!
 //! * **Bounded**: the ring holds at most its capacity; the oldest
 //!   record is evicted, and a monotonically increasing sequence number
-//!   makes eviction visible to readers.
+//!   makes eviction visible to readers. Back-to-back admissions fold
+//!   into one record, so a steady push rate cannot evict the rarer
+//!   switch, budget, battery and drain records.
 //! * **Deterministic**: records carry the stream's *window count* at
 //!   the time of the event, never wall-clock time, so a sharded fleet
 //!   produces per-stream journals bit-identical to a serial run
@@ -58,7 +60,7 @@ impl SwitchReason {
 /// One structured stream event.
 #[derive(Clone, Debug, PartialEq)]
 pub enum StreamEvent {
-    /// A push batch cleared admission: `accepted` samples entered the
+    /// Push batches cleared admission: `accepted` samples entered the
     /// ingest ring, `gated` were rejected by the plausibility rules.
     Admission {
         /// Samples accepted by the ingest gate.
@@ -124,8 +126,7 @@ impl StreamEvent {
 pub struct EventRecord {
     /// Monotonic per-journal sequence number (gaps reveal eviction).
     pub seq: u64,
-    /// The stream's emitted-window count when the event was recorded
-    /// (`0` for gateway-side events recorded before analysis).
+    /// The stream's emitted-window count when the event was recorded.
     pub window: u64,
     /// The event itself.
     pub event: StreamEvent,
@@ -149,8 +150,24 @@ impl EventJournal {
         }
     }
 
-    /// Appends an event, evicting the oldest record when full.
+    /// Appends an event, evicting the oldest record when full. An
+    /// [`StreamEvent::Admission`] that directly follows another adds its
+    /// counts (saturating) into that record instead, which keeps its
+    /// `seq` and `window`.
     pub fn record(&mut self, window: u64, event: StreamEvent) {
+        if let (StreamEvent::Admission { accepted, gated }, Some(last)) =
+            (&event, self.ring.back_mut())
+        {
+            if let StreamEvent::Admission {
+                accepted: a,
+                gated: g,
+            } = &mut last.event
+            {
+                *a = a.saturating_add(*accepted);
+                *g = g.saturating_add(*gated);
+                return;
+            }
+        }
         while self.ring.len() >= self.capacity {
             self.ring.pop_front();
         }
@@ -167,22 +184,8 @@ impl EventJournal {
         self.ring.iter().cloned().collect()
     }
 
-    /// Records currently retained.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// True when nothing has been recorded (or everything evicted).
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// The ring's capacity bound.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total events ever recorded (`seq` of the next record).
+    /// Records ever appended (`seq` of the next record); a coalesced
+    /// admission appends none.
     pub fn recorded(&self) -> u64 {
         self.next_seq
     }
@@ -443,6 +446,25 @@ mod tests {
     }
 
     #[test]
+    fn wire_layout_is_pinned() {
+        // The v3 bytes of every event kind; a change here is a protocol
+        // change and needs a `PROTOCOL_VERSION` bump.
+        const GOLDEN: &str = concat!(
+            "00000006000000000000000000000000000000000100000040000000030000",
+            "000000000001000000000000000c020000000e62616e642d64726f702d7365",
+            "74323fe999999999999a000000000000000002000000000000000d033f647a",
+            "e147ae147b3f60624dd2f1a9fc0000000000000003000000000000000d0400",
+            "0001000000010000000000000000040000000000000014053fcfdf3b645a1c",
+            "ac0000000000000005000000000000001f06000000000000001f",
+        );
+        let hex: String = encode_events(&sample_events())
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(hex, GOLDEN);
+    }
+
+    #[test]
     fn encoding_is_deterministic() {
         let events = sample_events();
         assert_eq!(encode_events(&events), encode_events(&events));
@@ -491,5 +513,28 @@ mod tests {
         assert_eq!(journal.recorded(), 10);
         let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
         assert_eq!(seqs, vec![6, 7, 8, 9], "oldest evicted, order kept");
+    }
+
+    #[test]
+    fn consecutive_admissions_coalesce_and_saturate() {
+        let admission = |accepted, gated| StreamEvent::Admission { accepted, gated };
+        let mut journal = EventJournal::new(4);
+        journal.record(0, admission(10, 1));
+        journal.record(3, admission(5, 2));
+        journal.record(3, StreamEvent::Drain { windows: 3 });
+        journal.record(4, admission(u32::MAX - 1, 0));
+        journal.record(5, admission(7, u32::MAX));
+        let expected = [
+            (0, 0, admission(15, 3)),
+            (1, 3, StreamEvent::Drain { windows: 3 }),
+            (2, 4, admission(u32::MAX, u32::MAX)),
+        ];
+        let got: Vec<(u64, u64, StreamEvent)> = journal
+            .events()
+            .into_iter()
+            .map(|r| (r.seq, r.window, r.event))
+            .collect();
+        assert_eq!(got, expected, "a merged record keeps its seq and window");
+        assert_eq!(journal.recorded(), 3);
     }
 }

@@ -125,25 +125,44 @@ proptest! {
     }
 
     // The ring never exceeds its capacity, keeps insertion order and
-    // assigns contiguous sequence numbers ending at `recorded - 1`.
+    // assigns contiguous sequence numbers ending at `recorded - 1`, over
+    // mixed event kinds. Back-to-back admissions fold into one record,
+    // so no two adjacent records are admissions.
     #[test]
     fn ring_is_bounded_and_ordered(
         capacity_unit in 0.0f64..1.0,
-        pushes_unit in 0.0f64..1.0,
+        units in prop::collection::vec(0.0f64..1.0, 0..192),
     ) {
         let capacity = 1 + (capacity_unit * 15.0) as usize;
-        let pushes = (pushes_unit * 64.0) as usize;
         let mut journal = EventJournal::new(capacity);
-        for i in 0..pushes {
-            journal.record(i as u64, StreamEvent::Drain { windows: i as u64 });
+        // Window stamps of the records a coalescing ring appends.
+        let mut appended = Vec::new();
+        let mut after_admission = false;
+        for (i, chunk) in units.chunks_exact(3).enumerate() {
+            // Half the draws are admissions, so runs of them are common.
+            let kind = if chunk[0] < 0.5 { 0.0 } else { chunk[0] };
+            let event = event_from(kind, chunk[1], chunk[2]);
+            let admission = matches!(event, StreamEvent::Admission { .. });
+            if !(admission && after_admission) {
+                appended.push(i as u64);
+            }
+            after_admission = admission;
+            journal.record(i as u64, event);
         }
         let events = journal.events();
-        prop_assert_eq!(events.len(), pushes.min(capacity));
-        prop_assert_eq!(journal.recorded(), pushes as u64);
+        prop_assert_eq!(events.len(), appended.len().min(capacity));
+        prop_assert_eq!(journal.recorded(), appended.len() as u64);
+        let first = appended.len() - events.len();
         for (offset, record) in events.iter().enumerate() {
-            let expected = (pushes - events.len() + offset) as u64;
-            prop_assert_eq!(record.seq, expected);
-            prop_assert_eq!(record.window, expected);
+            prop_assert_eq!(record.seq, (first + offset) as u64);
+            prop_assert_eq!(record.window, appended[first + offset]);
+        }
+        for pair in events.windows(2) {
+            prop_assert!(
+                !pair.iter().all(|r| matches!(r.event, StreamEvent::Admission { .. })),
+                "adjacent admissions at seq {}",
+                pair[0].seq
+            );
         }
     }
 }

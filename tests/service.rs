@@ -385,6 +385,23 @@ fn read_metrics_returns_conformant_histogram_families_over_the_wire() {
     ] {
         assert!(stages.contains(stage), "no {stage:?} span in {stages:?}");
     }
+    // Each push links to the windows it computed, and one `Stage` per
+    // stage feeds both views: as many spans as observations (the
+    // metrics reply was encoded before it was sent).
+    let spans = tracer.spans();
+    let of = |stage| spans.iter().filter(move |s| s.stage == stage);
+    let dispatches: std::collections::BTreeSet<u64> = of("push_dispatch").map(|s| s.id).collect();
+    assert!(of("window_compute").all(|s| dispatches.contains(&s.parent)));
+    for (stage, family) in [
+        ("frame_decode", "hrv_service_frame_decode_seconds"),
+        ("report_encode", "hrv_service_report_encode_seconds"),
+        ("push_dispatch", "hrv_service_pump_dispatch_seconds"),
+        ("window_compute", "hrv_stream_window_compute_seconds"),
+    ] {
+        let series = handle.telemetry().histogram_series(family);
+        let observed: u64 = series.iter().map(|(_, hist)| hist.count()).sum();
+        assert_eq!(of(stage).count() as u64, observed, "{stage} vs {family}");
+    }
     // ...and the Chrome export of a live gateway trace stays well-formed.
     let chrome = tracer.chrome_trace();
     assert!(chrome.starts_with("{\"traceEvents\":["));
