@@ -1,9 +1,11 @@
-//! Pruned wavelet-FFT throughput across approximation modes.
+//! Pruned wavelet-FFT throughput across approximation modes: the
+//! allocating `PrunedWfft::forward` and the in-place backend path with a
+//! reused scratch.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hrv_dsp::{Cx, OpCount};
+use hrv_dsp::{Cx, FftBackend, OpCount};
 use hrv_wavelet::WaveletBasis;
-use hrv_wfft::{PruneConfig, PruneSet, PrunedWfft, WfftPlan};
+use hrv_wfft::{PruneConfig, PruneSet, PrunedWfft, WaveletFftBackend, WfftPlan};
 use std::hint::black_box;
 
 fn bench_prune(c: &mut Criterion) {
@@ -25,6 +27,26 @@ fn bench_prune(c: &mut Criterion) {
             group.bench_with_input(BenchmarkId::new(format!("haar_{name}"), n), &n, |b, _| {
                 b.iter(|| black_box(pruned.forward(&input, &mut OpCount::default())))
             });
+            // The path the streaming engine runs: the backend in place,
+            // one scratch reused across calls (no allocation after the
+            // first).
+            let backend = WaveletFftBackend::from_pruned(pruned);
+            let (mut data, mut scratch) = (input.clone(), Vec::new());
+            group.bench_with_input(
+                BenchmarkId::new(format!("haar_{name}_in_place"), n),
+                &n,
+                |b, _| {
+                    b.iter(|| {
+                        data.copy_from_slice(&input);
+                        backend.forward_with_scratch(
+                            &mut data,
+                            &mut scratch,
+                            &mut OpCount::default(),
+                        );
+                        black_box(&data);
+                    })
+                },
+            );
         }
     }
     group.finish();

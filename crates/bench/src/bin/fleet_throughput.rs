@@ -1,6 +1,8 @@
 //! Streaming-subsystem benchmark: incremental vs batch ops per window,
 //! fleet throughput at 1 and N concurrent streams, and the zero-allocation
-//! steady-state guarantee (measured with a counting global allocator).
+//! steady-state guarantee on every approximation mode's kernel (measured
+//! with a counting global allocator; any steady-state allocation exits
+//! non-zero).
 //!
 //! Run with: `cargo run --release -p hrv-bench --bin fleet_throughput`
 //! Environment knobs (for CI smoke runs):
@@ -8,7 +10,10 @@
 //!   HRV_FLEET_SECONDS  seconds of RR data per stream     (default 600)
 //!   HRV_FLEET_WORKERS  comma list of shard counts to run  (default 1,2,4)
 
-use hrv_core::{PsaConfig, Telemetry};
+use hrv_core::{
+    ApproximationMode, KernelCache, OperatingChoice, PruningPolicy, PsaConfig, SpectralPlan,
+    Telemetry,
+};
 use hrv_dsp::{BlockOps, SplitRadixFft};
 use hrv_ecg::{Condition, SyntheticDatabase};
 use hrv_lomb::{FastLomb, WelchLomb};
@@ -129,35 +134,66 @@ fn main() {
     );
 
     // ---- steady-state allocation audit ------------------------------------
-    let (mut engine, mut scratch) = (
-        SlidingLomb::new(
-            FastLomb::new(512, 2.0)
-                .with_resampled_mesh()
-                .with_max_freq(0.5),
-            120.0,
-            0.5,
-            Arc::new(SplitRadixFft::new(512)),
-        ),
-        StreamScratch::new(),
-    );
-    let half = times.len() / 2;
-    let mut warm_windows = 0u64;
-    let mut sink = |_: &hrv_stream::WindowView<'_>| warm_windows += 1;
-    for (&t, &v) in times[..half].iter().zip(&values[..half]) {
-        engine.push(t, v, &mut scratch, &mut sink);
-    }
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut steady_windows = 0u64;
-    let mut sink = |_: &hrv_stream::WindowView<'_>| steady_windows += 1;
-    for (&t, &v) in times[half..].iter().zip(&values[half..]) {
-        engine.push(t, v, &mut scratch, &mut sink);
-    }
-    let steady_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    // One engine per approximation mode, wired as the fleet wires it (the
+    // plan's engine plus the mode's cached kernel made active), fed the
+    // first half of the recording to warm its buffers; the second half
+    // must then allocate nothing, whichever kernel computes the spectra.
     println!("== steady-state allocation audit (counting global allocator) ==\n");
     println!(
-        "{steady_windows} windows after warm-up: {steady_allocs} heap allocations ({:.3} per window)\n",
-        steady_allocs as f64 / steady_windows.max(1) as f64
+        "{:<16} {:<30} {:>10} {:>12} {:>12}",
+        "mode", "kernel", "windows", "allocations", "per window"
     );
+    let plan = SpectralPlan::new(PsaConfig::conventional()).expect("paper configuration");
+    let cache = KernelCache::new();
+    let half = times.len() / 2;
+    let mut allocating = Vec::new();
+    for mode in ApproximationMode::ALL {
+        let backend = cache
+            .backend_for_choice(
+                &plan,
+                &OperatingChoice {
+                    mode,
+                    policy: PruningPolicy::Static,
+                    vfs: false,
+                    expected_error_pct: 0.0,
+                    expected_savings_pct: 0.0,
+                },
+            )
+            .expect("static kernel");
+        let mut engine = SlidingLomb::from_plan(&plan, &cache).expect("paper engine");
+        if !backend.is_exact() {
+            let index = engine.add_backend(backend.clone());
+            engine.set_active_backend(index);
+        }
+        let mut scratch = StreamScratch::new();
+        let mut sink = |_: &hrv_stream::WindowView<'_>| {};
+        for (&t, &v) in times[..half].iter().zip(&values[..half]) {
+            engine.push(t, v, &mut scratch, &mut sink);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let mut steady_windows = 0u64;
+        let mut sink = |_: &hrv_stream::WindowView<'_>| steady_windows += 1;
+        for (&t, &v) in times[half..].iter().zip(&values[half..]) {
+            engine.push(t, v, &mut scratch, &mut sink);
+        }
+        let steady_allocs = ALLOCATIONS.load(Ordering::Relaxed) - before;
+        println!(
+            "{:<16} {:<30} {:>10} {:>12} {:>12.3}",
+            mode.to_string(),
+            backend.name(),
+            steady_windows,
+            steady_allocs,
+            steady_allocs as f64 / steady_windows.max(1) as f64
+        );
+        if steady_allocs > 0 {
+            allocating.push(mode);
+        }
+    }
+    println!();
+    if !allocating.is_empty() {
+        eprintln!("steady-state heap allocations on the {allocating:?} kernels: expected none");
+        std::process::exit(1);
+    }
 
     // ---- fleet phase: sharded workers over one shared kernel cache --------
     println!("== fleet: {streams} concurrent streams x {seconds:.0} s ==\n");

@@ -16,8 +16,8 @@
 //!   measurably fewer operations than a from-scratch segment;
 //! * [`FleetScheduler`] — multiplexes thousands of patient streams across
 //!   shards, each owning its streams and one scratch arena (zero
-//!   steady-state allocations per window on the default exact-kernel
-//!   path), and reports aggregate throughput and energy via
+//!   steady-state allocations per window on every kernel, exact or
+//!   pruned), and reports aggregate throughput and energy via
 //!   `hrv-node-sim`. Samples enter through one batch feed
 //!   ([`FleetScheduler::push_rr_batch`] /
 //!   [`FleetScheduler::push_beat_batch`]), which an offline

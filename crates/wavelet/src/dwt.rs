@@ -23,48 +23,10 @@ use hrv_dsp::{Cx, OpCount};
 ///
 /// Panics if `x.len()` is odd, zero, or shorter than the filter.
 pub fn analysis_stage(x: &[Cx], filters: &FilterPair, ops: &mut OpCount) -> (Vec<Cx>, Vec<Cx>) {
-    let n = x.len();
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "input length must be even and ≥ 2, got {n}"
-    );
-    let half = n / 2;
-    let l = filters.taps();
-    let mut low = Vec::with_capacity(half);
-    let mut high = Vec::with_capacity(half);
-
-    if l == 2 {
-        // Haar: zL[m] = (x[2m] + x[2m−1])/√2, zH[m] = (−x[2m−1] + x[2m])…
-        // computed from the shared pair with one scaling each.
-        let s = filters.h0()[0];
-        for m in 0..half {
-            let a = x[2 * m];
-            let b = x[(2 * m + n - 1) % n];
-            let sum = (a + b).scale(s);
-            let diff = (a - b).scale(s);
-            ops.cadd_n(2);
-            ops.cmul_real_n(2);
-            low.push(sum);
-            high.push(diff);
-        }
-        return (low, high);
-    }
-
-    for m in 0..half {
-        let mut acc_l = Cx::ZERO;
-        let mut acc_h = Cx::ZERO;
-        for j in 0..l {
-            let idx = (2 * m + n - (j % n)) % n;
-            let sample = x[idx];
-            acc_l += sample.scale(filters.h0()[j]);
-            acc_h += sample.scale(filters.h1()[j]);
-        }
-        // Per output: L real·complex mults and (L−1) complex adds.
-        ops.cmul_real_n(2 * l as u64);
-        ops.cadd_n(2 * (l as u64 - 1));
-        low.push(acc_l);
-        high.push(acc_h);
-    }
+    let half = x.len() / 2;
+    let mut low = vec![Cx::ZERO; half];
+    let mut high = vec![Cx::ZERO; half];
+    analysis_into(x, filters, &mut low, Some(&mut high), ops);
     (low, high)
 }
 
@@ -78,38 +40,97 @@ pub fn analysis_stage(x: &[Cx], filters: &FilterPair, ops: &mut OpCount) -> (Vec
 ///
 /// Panics if `x.len()` is odd or zero.
 pub fn analysis_lowpass(x: &[Cx], filters: &FilterPair, ops: &mut OpCount) -> Vec<Cx> {
+    let mut low = vec![Cx::ZERO; x.len() / 2];
+    analysis_into(x, filters, &mut low, None, ops);
+    low
+}
+
+/// Circular single-stage analysis of complex data into caller-owned
+/// halves: the lowpass band always, the highpass band when `high` is
+/// given (`None` is the band-drop kernel, at half the cost).
+///
+/// The allocation-free form of [`analysis_stage`] / [`analysis_lowpass`],
+/// which wrap it, so all three produce the same bits and op counts.
+/// In-place transforms (`hrv-wfft`) keep one copy of their block in
+/// scratch as `x` and write the bands straight into the block's halves.
+///
+/// # Panics
+///
+/// Panics if `x.len()` is odd or zero, or a band is not `x.len() / 2` long.
+// analyze::hot_path
+pub fn analysis_into(
+    x: &[Cx],
+    filters: &FilterPair,
+    low: &mut [Cx],
+    high: Option<&mut [Cx]>,
+    ops: &mut OpCount,
+) {
     let n = x.len();
     assert!(
         n >= 2 && n.is_multiple_of(2),
         "input length must be even and ≥ 2, got {n}"
     );
     let half = n / 2;
+    assert_eq!(low.len(), half, "lowpass band must hold N/2 samples");
+    let bands = 1 + u64::from(high.is_some());
     let l = filters.taps();
-    let mut low = Vec::with_capacity(half);
 
     if l == 2 {
+        // Haar: zL[m] = (x[2m] + x[2m−1])/√2, zH[m] = (x[2m] − x[2m−1])/√2,
+        // computed from the shared pair with one scaling each.
         let s = filters.h0()[0];
-        for m in 0..half {
-            let a = x[2 * m];
-            let b = x[(2 * m + n - 1) % n];
-            low.push((a + b).scale(s));
-            ops.cadd();
-            ops.cmul_real();
+        let pairs = x.chunks_exact(2);
+        let mut prev = x[n - 1];
+        match high {
+            Some(high) => {
+                assert_eq!(high.len(), half, "highpass band must hold N/2 samples");
+                for ((pair, lo), hi) in pairs.zip(low.iter_mut()).zip(high.iter_mut()) {
+                    *lo = (pair[0] + prev).scale(s);
+                    *hi = (pair[0] - prev).scale(s);
+                    prev = pair[1];
+                }
+            }
+            None => {
+                for (pair, lo) in pairs.zip(low.iter_mut()) {
+                    *lo = (pair[0] + prev).scale(s);
+                    prev = pair[1];
+                }
+            }
         }
-        return low;
+        ops.cadd_n(bands * half as u64);
+        ops.cmul_real_n(bands * half as u64);
+        return;
     }
 
-    for m in 0..half {
-        let mut acc = Cx::ZERO;
-        for j in 0..l {
-            let idx = (2 * m + n - (j % n)) % n;
-            acc += x[idx].scale(filters.h0()[j]);
-        }
-        ops.cmul_real_n(l as u64);
-        ops.cadd_n(l as u64 - 1);
-        low.push(acc);
+    filter_band(x, filters.h0(), low);
+    if let Some(high) = high {
+        assert_eq!(high.len(), half, "highpass band must hold N/2 samples");
+        filter_band(x, filters.h1(), high);
     }
-    low
+    // Per output: L real·complex mults and (L−1) complex adds.
+    ops.cmul_real_n(bands * (half * l) as u64);
+    ops.cadd_n(bands * (half * (l - 1)) as u64);
+}
+
+/// One band of the circular analysis: `out[m] = Σ_j h[j]·x[(2m − j) mod N]`.
+fn filter_band(x: &[Cx], h: &[f64], out: &mut [Cx]) {
+    let n = x.len();
+    let l = h.len();
+    for (m, out) in out.iter_mut().enumerate() {
+        let mut acc = Cx::ZERO;
+        if 2 * m + 1 >= l {
+            // The support x[2m−L+1 ..= 2m] lies inside the block.
+            for (&sample, &tap) in x[2 * m + 1 - l..=2 * m].iter().rev().zip(h) {
+                acc += sample.scale(tap);
+            }
+        } else {
+            // The first outputs wrap around the start of the block.
+            for (j, &tap) in h.iter().enumerate() {
+                acc += x[(2 * m + n - (j % n)) % n].scale(tap);
+            }
+        }
+        *out = acc;
+    }
 }
 
 /// Circular single-stage analysis of real data.

@@ -34,7 +34,8 @@ mod packet;
 
 pub use basis::{FilterPair, InvalidFilterError, WaveletBasis};
 pub use dwt::{
-    analysis_lowpass, analysis_stage, analysis_stage_real, synthesis_stage, synthesis_stage_real,
+    analysis_into, analysis_lowpass, analysis_stage, analysis_stage_real, synthesis_stage,
+    synthesis_stage_real,
 };
 pub use matrix::{analysis_matrix, mat_vec, orthogonality_defect};
 pub use multilevel::Decomposition;

@@ -76,8 +76,12 @@ impl FftBackend for WaveletFftBackend {
     }
 
     fn forward(&self, data: &mut [Cx], ops: &mut OpCount) {
-        let out = self.inner.forward(data, ops);
-        data.copy_from_slice(&out);
+        self.forward_with_scratch(data, &mut Vec::new(), ops);
+    }
+
+    // analyze::hot_path
+    fn forward_with_scratch(&self, data: &mut [Cx], scratch: &mut Vec<Cx>, ops: &mut OpCount) {
+        self.inner.forward_in_place(data, scratch, ops);
     }
 }
 

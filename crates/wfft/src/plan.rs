@@ -14,7 +14,7 @@
 
 use crate::twiddle::{FactorClass, LevelTwiddles};
 use hrv_dsp::{Cx, FftBackend, OpCount, SplitRadixFft};
-use hrv_wavelet::{analysis_stage, FilterPair, WaveletBasis};
+use hrv_wavelet::{analysis_into, FilterPair, WaveletBasis};
 
 /// A planned exact wavelet-based FFT.
 ///
@@ -130,26 +130,75 @@ impl WfftPlan {
     /// Panics if `input.len() != self.len()`.
     pub fn forward(&self, input: &[Cx], ops: &mut OpCount) -> Vec<Cx> {
         assert_eq!(input.len(), self.n, "input length must match plan length");
-        self.recurse(input, 0, ops)
+        let mut out = input.to_vec();
+        self.transform_level(&mut out, 0, &mut Vec::new(), ops);
+        out
     }
 
-    fn recurse(&self, x: &[Cx], stage: usize, ops: &mut OpCount) -> Vec<Cx> {
+    /// Exact in-place transform of one block of combine level `stage`
+    /// (length `n >> stage`): [`WfftPlan::subband_spectra`] and then the
+    /// level's butterflies, or the planned split-radix kernel at the
+    /// bottom of the tree. `scratch` may arrive dirty and at any size;
+    /// once it has grown to the block length the call allocates nothing.
+    // analyze::hot_path
+    pub(crate) fn transform_level(
+        &self,
+        data: &mut [Cx],
+        stage: usize,
+        scratch: &mut Vec<Cx>,
+        ops: &mut OpCount,
+    ) {
         if stage == self.stages {
-            let mut buf = x.to_vec();
-            self.sub_fft.forward(&mut buf, ops);
-            return buf;
+            self.sub_fft.forward_with_scratch(data, scratch, ops);
+            return;
         }
-        let (zl, zh) = analysis_stage(x, &self.filters, ops);
-        let xl = self.recurse(&zl, stage + 1, ops);
-        let xh = self.recurse(&zh, stage + 1, ops);
-        let tw = &self.levels[stage];
-        let half = x.len() / 2;
-        let mut out = vec![Cx::ZERO; x.len()];
-        for k in 0..half {
-            out[k] = combine(&tw.a[k], xl[k], &tw.b[k], xh[k], ops);
-            out[k + half] = combine(&tw.c[k], xl[k], &tw.d[k], xh[k], ops);
+        self.subband_spectra(data, stage, scratch, true, ops);
+        combine_level(&self.levels[stage], data, ops);
+    }
+
+    /// DWT stage `stage` and the exact sub-transforms below it, in place:
+    /// the analysis writes the lowpass band into the first half of `data`
+    /// (and, with `keep_high`, the highpass band into the second) from one
+    /// copy of the block in `scratch`, then each kept half is transformed
+    /// in place one level down. The spectra `XL` (and `XH`) are left in
+    /// the halves for the caller's butterflies.
+    // analyze::hot_path
+    pub(crate) fn subband_spectra(
+        &self,
+        data: &mut [Cx],
+        stage: usize,
+        scratch: &mut Vec<Cx>,
+        keep_high: bool,
+        ops: &mut OpCount,
+    ) {
+        scratch.clear();
+        scratch.extend_from_slice(data);
+        let (low, high) = data.split_at_mut(data.len() / 2);
+        analysis_into(
+            scratch,
+            &self.filters,
+            low,
+            keep_high.then_some(&mut *high),
+            ops,
+        );
+        self.transform_level(low, stage + 1, scratch, ops);
+        if keep_high {
+            self.transform_level(high, stage + 1, scratch, ops);
         }
-        out
+    }
+}
+
+/// The butterfly stage of one combine level, in place: the lowpass
+/// spectrum `XL` in the first half of `data` and the highpass spectrum
+/// `XH` in the second become `A·XL + B·XH` and `C·XL + D·XH`.
+// analyze::hot_path
+pub(crate) fn combine_level(tw: &LevelTwiddles, data: &mut [Cx], ops: &mut OpCount) {
+    let (low, high) = data.split_at_mut(tw.size / 2);
+    let factors = tw.a.iter().zip(&tw.b).zip(tw.c.iter().zip(&tw.d));
+    for ((xl, xh), ((a, b), (c, d))) in low.iter_mut().zip(high.iter_mut()).zip(factors) {
+        let (u, v) = (*xl, *xh);
+        *xl = combine(a, u, b, v, ops);
+        *xh = combine(c, u, d, v, ops);
     }
 }
 

@@ -9,15 +9,27 @@
 //!    stage are ranked by magnitude and the smallest fraction (Set1 = 20 %,
 //!    Set2 = 40 %, Set3 = 60 %) is pruned together with its products.
 //!
-//! Each lever comes in a **static** flavour (masks fixed at design time
-//! from factor magnitudes and cohort statistics) and a **dynamic** flavour
-//! (run-time data-magnitude tests that prune a product only when the
-//! actual sample is small, at the cost of one add + one compare per test —
-//! the paper's ~10 % overhead).
+//! Each lever comes in a **static** flavour (factors pruned at design time
+//! from their magnitudes) and a **dynamic** flavour (run-time
+//! data-magnitude tests that prune a product only when the actual sample
+//! is small, at the cost of one add + one compare per test — the paper's
+//! ~10 % overhead).
+//!
+//! Every decision that does not depend on the data is compiled when the
+//! kernel is built: a statically pruned factor becomes a
+//! [`FactorClass::Zero`] entry of the kernel's own combine table, and the
+//! dynamic candidates become one bit set per bin. The transform itself,
+//! [`PrunedWfft::forward_in_place`], runs in place in the caller's buffer
+//! on the plan's own sub-transforms and a caller-owned scratch, so a
+//! steady-state call plans nothing and allocates nothing; whether a
+//! combine addition is skipped is decided by the plan (a zero or pruned
+//! factor) or by the run-time test that skipped a product, never by the
+//! value a product happens to take, so static op counts do not depend on
+//! the data.
 
-use crate::plan::WfftPlan;
-use hrv_dsp::{Cx, FftBackend, OpCount};
-use hrv_wavelet::{analysis_lowpass, analysis_stage};
+use crate::plan::{combine, combine_level, WfftPlan};
+use crate::twiddle::{Factor, FactorClass, LevelTwiddles};
+use hrv_dsp::{Cx, OpCount};
 
 /// The paper's three pruning degrees for the twiddle stage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -109,14 +121,29 @@ impl Default for PruneConfig {
     }
 }
 
-/// Per-table boolean prune masks for the outermost combine level.
-#[derive(Clone, Debug, Default)]
-struct Masks {
-    a: Vec<bool>,
-    b: Vec<bool>,
-    c: Vec<bool>,
-    d: Vec<bool>,
+/// Index of each combine table, in the ranking's tie-break order; a
+/// dynamic candidate set holds bit `1 << table` per candidate product.
+const A: usize = 0;
+const B: usize = 1;
+const C: usize = 2;
+const D: usize = 3;
+
+/// The factor column of table `t` (one of [`A`], [`B`], [`C`], [`D`]).
+fn column(tw: &LevelTwiddles, t: usize) -> &[Factor] {
+    match t {
+        A => &tw.a,
+        B => &tw.b,
+        C => &tw.c,
+        _ => &tw.d,
+    }
 }
+
+/// The stand-in for a product the run-time test skipped: a zero factor,
+/// so [`combine`] drops the product and its addition alike.
+const SKIPPED: Factor = Factor {
+    value: Cx::ZERO,
+    class: FactorClass::Zero,
+};
 
 /// Run-time thresholds for dynamic pruning.
 ///
@@ -145,7 +172,7 @@ impl DynamicThresholds {
 /// How pruning decisions are taken at run time.
 #[derive(Clone, Debug, Default)]
 pub enum PruneMode {
-    /// Masks fixed at design time (threshold on expected magnitudes).
+    /// Factors pruned at design time (threshold on their magnitudes).
     #[default]
     Static,
     /// Candidates tested against live data magnitudes (finer-grained,
@@ -168,14 +195,24 @@ pub enum PruneMode {
 /// let mut approx_ops = OpCount::default();
 /// let spectrum = pruned.forward(&x, &mut approx_ops);
 /// assert_eq!(spectrum.len(), 64);
+///
+/// // The same transform in place, reusing one scratch across calls.
+/// let (mut data, mut scratch) = (x.clone(), Vec::new());
+/// pruned.forward_in_place(&mut data, &mut scratch, &mut OpCount::default());
+/// assert_eq!(data, spectrum);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PrunedWfft {
     plan: WfftPlan,
     config: PruneConfig,
-    masks: Masks,
-    /// Candidate masks for dynamic mode (a superset of the static masks).
-    candidates: Masks,
+    /// The outermost combine level's `A, B, C, D` with every statically
+    /// pruned factor reclassified [`FactorClass::Zero`].
+    table: LevelTwiddles,
+    /// Number of statically pruned factors.
+    pruned_factors: usize,
+    /// Dynamic candidates per bin: bit `1 << t` marks table `t`'s product
+    /// (a superset of the static prune set).
+    candidates: Vec<u8>,
     magnitude_threshold: f64,
     mode: PruneMode,
 }
@@ -187,21 +224,31 @@ pub struct PrunedWfft {
 const DYNAMIC_CANDIDATE_EXPANSION: f64 = 1.25;
 
 impl PrunedWfft {
-    /// Applies `config` to `plan` with static masks.
+    /// Applies `config` to `plan` with static pruning.
     pub fn new(plan: WfftPlan, config: PruneConfig) -> Self {
-        let masks = build_masks(&plan, &config, config.twiddle_fraction);
-        let candidates = build_masks(
-            &plan,
-            &config,
-            (config.twiddle_fraction * DYNAMIC_CANDIDATE_EXPANSION).min(1.0),
-        );
-        let magnitude_threshold = threshold_for(&plan, &config);
+        let pruned = smallest_factors(&plan, &config, config.twiddle_fraction);
+        let mut table = plan.level(0).clone();
+        for &(_, k, t) in &pruned {
+            let column = match t {
+                A => &mut table.a,
+                B => &mut table.b,
+                C => &mut table.c,
+                _ => &mut table.d,
+            };
+            column[k].class = FactorClass::Zero;
+        }
+        let mut candidates = vec![0u8; plan.len() / 2];
+        let pool = (config.twiddle_fraction * DYNAMIC_CANDIDATE_EXPANSION).min(1.0);
+        for (_, k, t) in smallest_factors(&plan, &config, pool) {
+            candidates[k] |= 1 << t;
+        }
         PrunedWfft {
+            magnitude_threshold: pruned.last().map_or(0.0, |&(magnitude, _, _)| magnitude),
+            pruned_factors: pruned.len(),
             plan,
             config,
-            masks,
+            table,
             candidates,
-            magnitude_threshold,
             mode: PruneMode::Static,
         }
     }
@@ -229,13 +276,7 @@ impl PrunedWfft {
 
     /// Number of statically pruned factors (for reporting).
     pub fn pruned_factor_count(&self) -> usize {
-        let m = &self.masks;
-        m.a.iter()
-            .chain(&m.b)
-            .chain(&m.c)
-            .chain(&m.d)
-            .filter(|&&p| p)
-            .count()
+        self.pruned_factors
     }
 
     /// Switches to dynamic (run-time thresholded) pruning using
@@ -264,13 +305,21 @@ impl PrunedWfft {
         assert!(!training.is_empty(), "need at least one training input");
         let half = self.plan.len() / 2;
         let mut ops = OpCount::default();
+        let (mut block, mut scratch) = (Vec::new(), Vec::new());
         // Collect the live lowpass sub-spectra the combine stage sees.
         let mut l1: Vec<Vec<f64>> = Vec::with_capacity(training.len());
         for x in training {
             assert_eq!(x.len(), self.plan.len(), "training input length mismatch");
-            let zl = analysis_lowpass(x, self.plan.filters(), &mut ops);
-            let xl = exact_subtree(&self.plan, &zl, &mut ops);
-            l1.push(xl.iter().map(|z| z.re.abs() + z.im.abs()).collect());
+            block.clear();
+            block.extend_from_slice(x);
+            self.plan
+                .subband_spectra(&mut block, 0, &mut scratch, false, &mut ops);
+            l1.push(
+                block[..half]
+                    .iter()
+                    .map(|z| z.re.abs() + z.im.abs())
+                    .collect(),
+            );
         }
         let mut mean_l1 = vec![0.0f64; half];
         for sample in &l1 {
@@ -288,21 +337,20 @@ impl PrunedWfft {
 
         // Candidate products per sample: a[k]·xl[k] and c[k]·xl[k].
         let target = self.config.twiddle_fraction;
-        let candidate_tests: Vec<(usize, bool)> = (0..half)
+        let candidate_bins: Vec<usize> = (0..half)
             .flat_map(|k| {
-                [
-                    (k, self.candidates.a.get(k).copied().unwrap_or(false)),
-                    (k, self.candidates.c.get(k).copied().unwrap_or(false)),
-                ]
+                [A, C]
+                    .into_iter()
+                    .filter(move |&t| self.candidates[k] & (1 << t) != 0)
+                    .map(move |_| k)
             })
-            .filter(|&(_, cand)| cand)
             .collect();
         let total_products = (2 * half * l1.len()) as f64;
 
         let prune_rate = |alpha: f64| -> f64 {
             let mut pruned = 0usize;
             for sample in &l1 {
-                for &(k, _) in &candidate_tests {
+                for &k in &candidate_bins {
                     if sample[k] < alpha * mean_l1[k] {
                         pruned += 1;
                     }
@@ -328,175 +376,134 @@ impl PrunedWfft {
         }
     }
 
-    /// Forward transform under the configured approximation.
+    /// Forward transform under the configured approximation, into a new
+    /// vector: a wrapper over [`PrunedWfft::forward_in_place`].
     ///
     /// # Panics
     ///
     /// Panics if `input.len()` differs from the plan length.
     pub fn forward(&self, input: &[Cx], ops: &mut OpCount) -> Vec<Cx> {
+        let mut out = input.to_vec();
+        self.forward_in_place(&mut out, &mut Vec::new(), ops);
+        out
+    }
+
+    /// Forward transform of `data` in place under the configured
+    /// approximation — the one implementation behind
+    /// [`PrunedWfft::forward`] and the [`crate::WaveletFftBackend`]
+    /// kernel.
+    ///
+    /// The first DWT stage writes the lowpass band (and the highpass band
+    /// unless it is dropped) into the halves of `data` from one copy in
+    /// `scratch`; the planned sub-transforms turn each kept half into its
+    /// spectrum in place; the butterflies write the combined spectrum
+    /// back. `scratch` may arrive dirty and at any size: it is resized,
+    /// never read, so a caller that passes the same buffer every call
+    /// allocates nothing after the first.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len()` differs from the plan length.
+    // analyze::hot_path
+    pub fn forward_in_place(&self, data: &mut [Cx], scratch: &mut Vec<Cx>, ops: &mut OpCount) {
         assert_eq!(
-            input.len(),
+            data.len(),
             self.plan.len(),
             "input length must match plan length"
         );
-        let half = self.plan.len() / 2;
-        let tw = self.plan.level(0);
-
-        if self.config.band_drop {
-            let zl = analysis_lowpass(input, self.plan.filters(), ops);
-            let xl = exact_subtree(&self.plan, &zl, ops);
-            let mut out = vec![Cx::ZERO; self.plan.len()];
-            for k in 0..half {
-                out[k] = self.pruned_product(
-                    &tw.a[k],
-                    self.masks.a[k],
-                    self.candidates.a[k],
-                    xl[k],
-                    k,
-                    ops,
-                );
-                out[k + half] = self.pruned_product(
-                    &tw.c[k],
-                    self.masks.c[k],
-                    self.candidates.c[k],
-                    xl[k],
-                    k,
-                    ops,
-                );
-            }
-            out
-        } else {
-            let (zl, zh) = analysis_stage(input, self.plan.filters(), ops);
-            let xl = exact_subtree(&self.plan, &zl, ops);
-            let xh = exact_subtree(&self.plan, &zh, ops);
-            let mut out = vec![Cx::ZERO; self.plan.len()];
-            for k in 0..half {
-                let ta = self.pruned_product(
-                    &tw.a[k],
-                    self.masks.a[k],
-                    self.candidates.a[k],
-                    xl[k],
-                    k,
-                    ops,
-                );
-                let tb = self.pruned_product(
-                    &tw.b[k],
-                    self.masks.b[k],
-                    self.candidates.b[k],
-                    xh[k],
-                    k,
-                    ops,
-                );
-                out[k] = checked_add(ta, tb, ops);
-                let tc = self.pruned_product(
-                    &tw.c[k],
-                    self.masks.c[k],
-                    self.candidates.c[k],
-                    xl[k],
-                    k,
-                    ops,
-                );
-                let td = self.pruned_product(
-                    &tw.d[k],
-                    self.masks.d[k],
-                    self.candidates.d[k],
-                    xh[k],
-                    k,
-                    ops,
-                );
-                out[k + half] = checked_add(tc, td, ops);
-            }
-            out
-        }
-    }
-
-    /// One combine product under the active pruning mode.
-    #[inline]
-    fn pruned_product(
-        &self,
-        factor: &crate::twiddle::Factor,
-        statically_pruned: bool,
-        candidate: bool,
-        z: Cx,
-        k: usize,
-        ops: &mut OpCount,
-    ) -> Cx {
+        let band_drop = self.config.band_drop;
+        self.plan.subband_spectra(data, 0, scratch, !band_drop, ops);
         match &self.mode {
-            PruneMode::Static => {
-                if statically_pruned {
-                    Cx::ZERO
+            PruneMode::Static if band_drop => lowpass_combine(&self.table, data, ops),
+            PruneMode::Static => combine_level(&self.table, data, ops),
+            PruneMode::Dynamic(thresholds) => self.dynamic_combine(&thresholds.theta, data, ops),
+        }
+    }
+
+    /// Dynamic-mode butterflies, in place on the subband spectra. Each
+    /// candidate product first pays its run-time test (`|Re z| + |Im z| <
+    /// θ[k]`: one add, one compare); a product the test skips is dropped
+    /// like a zero factor's, together with its addition.
+    // analyze::hot_path
+    fn dynamic_combine(&self, theta: &[f64], data: &mut [Cx], ops: &mut OpCount) {
+        let tw = self.plan.level(0);
+        let band_drop = self.config.band_drop;
+        let (low, high) = data.split_at_mut(tw.size / 2);
+        let bins = low.iter_mut().zip(high.iter_mut());
+        for (k, ((xl, xh), (&candidates, &threshold))) in
+            bins.zip(self.candidates.iter().zip(theta)).enumerate()
+        {
+            let (u, v) = (*xl, *xh);
+            let live = |t: usize, z: Cx, ops: &mut OpCount| -> &Factor {
+                let factor = &column(tw, t)[k];
+                if candidates & (1 << t) == 0 {
+                    return factor;
+                }
+                ops.add += 1;
+                ops.cmp += 1;
+                if z.re.abs() + z.im.abs() < threshold {
+                    &SKIPPED
                 } else {
-                    factor.apply(z, ops)
+                    factor
                 }
-            }
-            PruneMode::Dynamic(th) => {
-                if candidate {
-                    // |Re z| + |Im z| < θ[k] ⇒ skip. One add, one compare.
-                    ops.add += 1;
-                    ops.cmp += 1;
-                    if z.re.abs() + z.im.abs() < th.theta[k] {
-                        return Cx::ZERO;
-                    }
-                }
-                factor.apply(z, ops)
+            };
+            let (a, c) = (live(A, u, ops), live(C, u, ops));
+            if band_drop {
+                *xl = a.apply(u, ops);
+                *xh = c.apply(u, ops);
+            } else {
+                let (b, d) = (live(B, v, ops), live(D, v, ops));
+                *xl = combine(a, u, b, v, ops);
+                *xh = combine(c, u, d, v, ops);
             }
         }
     }
 }
 
-/// Adds two products, skipping the addition when either side is exactly
-/// zero (pruned).
-#[inline]
-fn checked_add(a: Cx, b: Cx, ops: &mut OpCount) -> Cx {
-    if a == Cx::ZERO {
-        b
-    } else if b == Cx::ZERO {
-        a
-    } else {
-        ops.cadd();
-        a + b
+/// Band-drop butterflies, in place: with the highpass spectrum dropped,
+/// the lowpass spectrum `XL` in the first half of `data` becomes `A·XL`
+/// there and `C·XL` in the second half.
+// analyze::hot_path
+fn lowpass_combine(tw: &LevelTwiddles, data: &mut [Cx], ops: &mut OpCount) {
+    let (low, high) = data.split_at_mut(tw.size / 2);
+    for ((xl, xh), (a, c)) in low
+        .iter_mut()
+        .zip(high.iter_mut())
+        .zip(tw.a.iter().zip(&tw.c))
+    {
+        let u = *xl;
+        *xl = a.apply(u, ops);
+        *xh = c.apply(u, ops);
     }
 }
 
-/// Exact transform of a half-length subband using the plan's inner stages.
-fn exact_subtree(plan: &WfftPlan, band: &[Cx], ops: &mut OpCount) -> Vec<Cx> {
-    if plan.stages() == 1 {
-        let mut buf = band.to_vec();
-        let sub = hrv_dsp::SplitRadixFft::new(band.len());
-        sub.forward(&mut buf, ops);
-        buf
-    } else {
-        // Delegate to an inner plan of half size with one fewer stage.
-        let inner = WfftPlan::with_stages(band.len(), plan.basis(), plan.stages() - 1);
-        inner.forward(band, ops)
-    }
-}
-
-/// Builds static masks for the outermost combine level: the `fraction`
-/// smallest-magnitude factors among the *active* tables are pruned.
-fn build_masks(plan: &WfftPlan, config: &PruneConfig, fraction: f64) -> Masks {
-    let tw = plan.level(0);
-    let half = plan.len() / 2;
-    let mut masks = Masks {
-        a: vec![false; half],
-        b: vec![false; half],
-        c: vec![false; half],
-        d: vec![false; half],
-    };
+/// The `fraction` smallest-magnitude factors among the outermost combine
+/// level's *active* tables, as `(magnitude, k, table)` in ascending order.
+/// With the band dropped only A and C are active (B, D multiply the
+/// missing highpass spectrum).
+fn smallest_factors(
+    plan: &WfftPlan,
+    config: &PruneConfig,
+    fraction: f64,
+) -> Vec<(f64, usize, usize)> {
     if fraction <= 0.0 {
-        return masks;
+        return Vec::new();
     }
-    // Rank active factors by magnitude. With the band dropped only A and C
-    // remain (B, D multiply the missing highpass spectrum).
-    let mut ranked: Vec<(f64, usize, u8)> = Vec::new();
-    for k in 0..half {
-        ranked.push((tw.a[k].magnitude(), k, 0));
-        ranked.push((tw.c[k].magnitude(), k, 2));
-        if !config.band_drop {
-            ranked.push((tw.b[k].magnitude(), k, 1));
-            ranked.push((tw.d[k].magnitude(), k, 3));
-        }
-    }
+    let tw = plan.level(0);
+    let active: &[usize] = if config.band_drop {
+        &[A, C]
+    } else {
+        &[A, B, C, D]
+    };
+    let mut ranked: Vec<(f64, usize, usize)> = active
+        .iter()
+        .flat_map(|&t| {
+            column(tw, t)
+                .iter()
+                .enumerate()
+                .map(move |(k, f)| (f.magnitude(), k, t))
+        })
+        .collect();
     ranked.sort_by(|x, y| {
         x.0.partial_cmp(&y.0)
             .expect("factor magnitudes are finite")
@@ -504,46 +511,14 @@ fn build_masks(plan: &WfftPlan, config: &PruneConfig, fraction: f64) -> Masks {
             .then(x.2.cmp(&y.2))
     });
     let prune_count = ((ranked.len() as f64) * fraction).floor() as usize;
-    for &(_, k, table) in ranked.iter().take(prune_count) {
-        match table {
-            0 => masks.a[k] = true,
-            1 => masks.b[k] = true,
-            2 => masks.c[k] = true,
-            _ => masks.d[k] = true,
-        }
-    }
-    masks
-}
-
-/// Factor-magnitude threshold corresponding to the configured fraction.
-fn threshold_for(plan: &WfftPlan, config: &PruneConfig) -> f64 {
-    if config.twiddle_fraction <= 0.0 {
-        return 0.0;
-    }
-    let tw = plan.level(0);
-    let half = plan.len() / 2;
-    let mut mags: Vec<f64> = Vec::new();
-    for k in 0..half {
-        mags.push(tw.a[k].magnitude());
-        mags.push(tw.c[k].magnitude());
-        if !config.band_drop {
-            mags.push(tw.b[k].magnitude());
-            mags.push(tw.d[k].magnitude());
-        }
-    }
-    mags.sort_by(|a, b| a.partial_cmp(b).expect("finite magnitudes"));
-    let cut = ((mags.len() as f64) * config.twiddle_fraction).floor() as usize;
-    if cut == 0 {
-        0.0
-    } else {
-        mags[cut - 1]
-    }
+    ranked.truncate(prune_count);
+    ranked
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hrv_dsp::{max_deviation, SplitRadixFft};
+    use hrv_dsp::{max_deviation, FftBackend, SplitRadixFft};
     use hrv_wavelet::WaveletBasis;
 
     /// A smooth RR-like test vector: large DC, small slow oscillations —
@@ -841,6 +816,29 @@ mod tests {
         assert!(dy_ops.total() > st_ops.total());
         assert_eq!(st_ops.cmp, 0);
         assert!(dy_ops.cmp > 0);
+    }
+
+    #[test]
+    fn static_op_counts_do_not_depend_on_the_data() {
+        // A constant input makes the highpass band exactly zero; whether a
+        // combine addition is counted must still follow the plan alone.
+        let n = 512;
+        let constant = vec![Cx::real(0.8); n];
+        let varying = rr_like(n, 11);
+        let mut configs = vec![PruneConfig::exact(), PruneConfig::band_drop_only()];
+        for set in PruneSet::ALL {
+            configs.push(PruneConfig::with_set(set));
+            configs.push(PruneConfig::set_only(set));
+        }
+        for basis in WaveletBasis::ALL {
+            for config in &configs {
+                let pruned = PrunedWfft::new(WfftPlan::new(n, basis), *config);
+                let (mut flat, mut live) = (OpCount::default(), OpCount::default());
+                let _ = pruned.forward(&constant, &mut flat);
+                let _ = pruned.forward(&varying, &mut live);
+                assert_eq!(flat, live, "{basis} {config:?}");
+            }
+        }
     }
 
     #[test]
