@@ -25,16 +25,15 @@ use crate::error::PsaError;
 use crate::govern::CandidatePoint;
 use crate::quality::OperatingChoice;
 use crate::sync::lock_unpoisoned;
-use hrv_dsp::{fft_real_pair_into, Cx, FftBackend, OpCount, RealFft, SplitRadixFft, Window};
+use hrv_dsp::{Cx, FftBackend, OpCount, SplitRadixFft, Window};
 use hrv_ecg::RrSeries;
-use hrv_lomb::{FastLomb, MeshScratch, MeshStrategy};
+use hrv_lomb::{FastLomb, LombFft, MeshScratch, MeshStrategy};
 use hrv_node_sim::OperatingPoint;
 use hrv_wavelet::WaveletBasis;
 use hrv_wfft::{PrunedWfft, WaveletFftBackend, WfftPlan};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// What kind of FFT kernel a plan (or an operating choice) stands for.
 ///
@@ -368,55 +367,24 @@ fn probe_window(duration: f64) -> (Vec<f64>, Vec<f64>) {
     (times, values)
 }
 
-/// Repetitions of each wall-clock probe measurement; the minimum is kept
-/// (the least-preempted run is the closest to the kernel's true cost).
-const TIMING_REPS: usize = 5;
-
-/// Minimum wall-clock of `f` over `reps` repetitions, in seconds.
-fn min_wall_s(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// One kernel's memoized probe measurement: the deterministic per-window
-/// FFT operation tally, plus the measured wall-clock of that FFT on this
-/// host (min over [`TIMING_REPS`] runs). The tally drives every energy
-/// decision; the wall clock is a reporting channel that surfaces real
-/// (e.g. SIMD) speedups the abstract op model cannot see.
-#[derive(Clone, Copy, Debug)]
-struct KernelProbe {
-    fft_ops: OpCount,
-    fft_s: f64,
-}
-
 /// The kernel-independent half of a cost profile: one probe window run
 /// through the plan's estimator stages, its meshes retained so each
-/// kernel's FFT cost can be measured on demand.
+/// kernel's FFT cost can be measured on demand through the engine's own
+/// FFT block.
 #[derive(Debug)]
 struct ProfileData {
     hop_s: f64,
     window_duration: f64,
-    resampled: bool,
     probe_samples: usize,
     probe_var: f64,
     wk1: Vec<f64>,
     wk2: Vec<f64>,
+    /// The FFT block, planned as the streaming engine plans it.
+    fft: LombFft,
     /// Non-FFT per-window ops (prepare + mesh + Lomb combine).
     base_ops: OpCount,
-    /// FFT ops of the exact streaming path (half-length real FFT under
-    /// the resampling front end, full packed pair otherwise).
-    exact_fft_ops: OpCount,
-    /// Measured wall-clock of the non-FFT stages on this host (seconds).
-    base_s: f64,
-    /// Measured wall-clock of the exact streaming FFT path (seconds).
-    exact_fft_s: f64,
-    /// Measured per-kernel FFT probes, keyed by spec.
-    probes: Mutex<HashMap<KernelSpec, KernelProbe>>,
+    /// Per-kernel FFT op tallies on the probe meshes, keyed by spec.
+    fft_ops: Mutex<HashMap<KernelSpec, OpCount>>,
 }
 
 impl ProfileData {
@@ -436,43 +404,25 @@ impl ProfileData {
             &mut scratch,
             &mut base_ops,
         );
-        let resampled = estimator.mesh_strategy() == MeshStrategy::Resample;
-        let n = config.fft_len;
-
-        // The exact streaming path: under resampling the weight spectrum
-        // is window-invariant and cached, so only the data mesh is
-        // transformed, at half length (mirroring `SlidingLomb`).
-        let mut exact_fft_ops = OpCount::default();
+        let fft = LombFft::new(&estimator);
+        // The combine's tally depends on the frequency grid alone; the
+        // exact spectra feed it here.
         let (mut first, mut second) = (Vec::new(), Vec::new());
         let (mut packed, mut fft_scratch) = (Vec::new(), Vec::new());
-        if resampled {
-            let rfft = RealFft::new(n);
-            rfft.forward_into(
-                &wk1,
-                &mut first,
-                &mut packed,
-                &mut fft_scratch,
-                &mut exact_fft_ops,
-            );
-            second = vec![Cx::ZERO; n / 2 + 1];
-            second[0] = Cx::real(n as f64);
-        } else {
-            let exact = SplitRadixFft::new(n);
-            fft_real_pair_into(
-                &exact,
-                &wk1,
-                &wk2,
-                &mut first,
-                &mut second,
-                &mut packed,
-                &mut fft_scratch,
-                &mut exact_fft_ops,
-            );
-        }
+        let weights = fft.transform(
+            &SplitRadixFft::new(config.fft_len),
+            &wk1,
+            &wk2,
+            &mut first,
+            &mut second,
+            &mut packed,
+            &mut fft_scratch,
+            &mut OpCount::default(),
+        );
         let (mut freqs, mut power) = (Vec::new(), Vec::new());
         estimator.combine_into(
             &first,
-            &second,
+            weights,
             config.window_duration,
             times.len(),
             probe_var,
@@ -481,62 +431,16 @@ impl ProfileData {
             &mut base_ops,
         );
 
-        // Wall-clock probes: re-run the identical stages (same inputs,
-        // deterministic outputs) with throwaway tallies and keep the
-        // minimum over a few repetitions.
-        let base_s = min_wall_s(TIMING_REPS, || {
-            let mut ops = OpCount::default();
-            let _ = estimator.prepare_variance(&times, &values, &mut scratch, &mut ops);
-            estimator.meshes_into(&times, &values, &mut wk1, &mut wk2, &mut scratch, &mut ops);
-            estimator.combine_into(
-                &first,
-                &second,
-                config.window_duration,
-                times.len(),
-                probe_var,
-                &mut freqs,
-                &mut power,
-                &mut ops,
-            );
-        });
-        // Plan construction (twiddle tables) happens outside the timed
-        // region: it is a per-plan cost, not a per-window one.
-        let exact_fft_s = if resampled {
-            let rfft = RealFft::new(n);
-            min_wall_s(TIMING_REPS, || {
-                let mut ops = OpCount::default();
-                rfft.forward_into(&wk1, &mut first, &mut packed, &mut fft_scratch, &mut ops);
-            })
-        } else {
-            let exact = SplitRadixFft::new(n);
-            min_wall_s(TIMING_REPS, || {
-                let mut ops = OpCount::default();
-                fft_real_pair_into(
-                    &exact,
-                    &wk1,
-                    &wk2,
-                    &mut first,
-                    &mut second,
-                    &mut packed,
-                    &mut fft_scratch,
-                    &mut ops,
-                );
-            })
-        };
-
         ProfileData {
             hop_s: config.window_duration * (1.0 - config.overlap),
             window_duration: config.window_duration,
-            resampled,
             probe_samples: times.len(),
             probe_var,
             wk1,
             wk2,
+            fft,
             base_ops,
-            exact_fft_ops,
-            base_s,
-            exact_fft_s,
-            probes: Mutex::new(HashMap::new()),
+            fft_ops: Mutex::new(HashMap::new()),
         }
     }
 }
@@ -621,39 +525,18 @@ impl CostProfile {
             .total()
     }
 
-    /// Predicted per-window operation count with `backend` active,
-    /// measured on the plan's probe window (memoized per `spec`). The
-    /// exact kernel under the resampling front end is predicted on the
-    /// half-length real-FFT fast path, mirroring the streaming engine.
+    /// Predicted per-window operation count with `backend` active: the
+    /// probe window's non-FFT stages plus `backend`'s FFT of the probe
+    /// meshes through the engine's own FFT block ([`LombFft`], so an
+    /// exact kernel under the resampling front end is charged the
+    /// half-length fast path). The FFT tally is memoized per `spec`.
     pub fn predict(&self, spec: KernelSpec, backend: &dyn FftBackend) -> OpCount {
-        if backend.is_exact() && self.data.resampled {
-            return self.data.base_ops + self.data.exact_fft_ops;
-        }
-        self.data.base_ops + self.kernel_probe(spec, backend).fft_ops
-    }
-
-    /// Measured wall-clock of one probe window under `backend` on this
-    /// host (seconds): the non-FFT stages plus the kernel's FFT, each the
-    /// minimum over a few repetitions. This is a **reporting** channel —
-    /// budget selection stays on the deterministic `OpCount` → joules
-    /// path — so vectorized kernels surface their real speedups without
-    /// making governor decisions host-dependent.
-    pub fn measured_window_s(&self, spec: KernelSpec, backend: &dyn FftBackend) -> f64 {
-        if backend.is_exact() && self.data.resampled {
-            return self.data.base_s + self.data.exact_fft_s;
-        }
-        self.data.base_s + self.kernel_probe(spec, backend).fft_s
-    }
-
-    /// Runs (once, memoized per `spec`) the kernel over the plan's probe
-    /// meshes, recording both the FFT operation tally and its wall clock.
-    fn kernel_probe(&self, spec: KernelSpec, backend: &dyn FftBackend) -> KernelProbe {
-        let mut probes = lock_unpoisoned(&self.data.probes);
-        *probes.entry(spec).or_insert_with(|| {
+        let mut memo = lock_unpoisoned(&self.data.fft_ops);
+        let fft_ops = *memo.entry(spec).or_insert_with(|| {
             let (mut first, mut second) = (Vec::new(), Vec::new());
             let (mut packed, mut fft_scratch) = (Vec::new(), Vec::new());
-            let mut fft_ops = OpCount::default();
-            fft_real_pair_into(
+            let mut ops = OpCount::default();
+            self.data.fft.transform(
                 backend,
                 &self.data.wk1,
                 &self.data.wk2,
@@ -661,23 +544,11 @@ impl CostProfile {
                 &mut second,
                 &mut packed,
                 &mut fft_scratch,
-                &mut fft_ops,
+                &mut ops,
             );
-            let fft_s = min_wall_s(TIMING_REPS, || {
-                let mut ops = OpCount::default();
-                fft_real_pair_into(
-                    backend,
-                    &self.data.wk1,
-                    &self.data.wk2,
-                    &mut first,
-                    &mut second,
-                    &mut packed,
-                    &mut fft_scratch,
-                    &mut ops,
-                );
-            });
-            KernelProbe { fft_ops, fft_s }
-        })
+            ops
+        });
+        self.data.base_ops + fft_ops
     }
 
     /// The DVFS operating point a choice runs at: nominal without VFS;
@@ -721,7 +592,6 @@ impl CostProfile {
             choice,
             expected_error_pct: choice.map_or(0.0, |c| c.expected_error_pct),
             predicted_energy_j: self.window_energy(&predicted, &opp),
-            measured_window_s: self.measured_window_s(spec, backend),
             opp,
         }
     }
@@ -742,7 +612,6 @@ impl CostProfile {
         backend: &dyn FftBackend,
     ) -> Vec<CandidatePoint> {
         let predicted = self.predict(spec, backend);
-        let measured_window_s = self.measured_window_s(spec, backend);
         let cycles = self.cycles(&predicted) as f64;
         let expected_error_pct = choice.map_or(0.0, |c| c.expected_error_pct);
         self.node
@@ -754,7 +623,6 @@ impl CostProfile {
                 choice,
                 expected_error_pct,
                 predicted_energy_j: self.window_energy(&predicted, &opp),
-                measured_window_s,
                 opp,
             })
             .collect()
@@ -1381,25 +1249,6 @@ mod tests {
             let busy = profile.cycles(&ops) as f64 / rung.opp.frequency;
             assert!(busy <= profile.hop_s());
         }
-        // Every rung carries the same measured probe wall clock (the rail
-        // does not change the arithmetic), derived from the probe — a
-        // positive, finite measurement, not a hand-entered constant.
-        let measured = profile.measured_window_s(plan.base_spec(), exact.as_ref());
-        assert!(measured > 0.0 && measured.is_finite(), "{measured}");
-        assert!(rungs.iter().all(|c| c.measured_window_s == measured));
-    }
-
-    #[test]
-    fn measured_window_s_is_memoized_and_positive_across_kernels() {
-        let config = PsaConfig::conventional();
-        let plan = SpectralPlan::new(config).expect("valid");
-        let cache = KernelCache::new();
-        let profile = cache.cost_profile(&plan, &NodeModel::default());
-        let exact = cache.backend(&plan).expect("exact");
-        let a = profile.measured_window_s(plan.base_spec(), exact.as_ref());
-        let b = profile.measured_window_s(plan.base_spec(), exact.as_ref());
-        assert!(a > 0.0 && a.is_finite());
-        assert_eq!(a.to_bits(), b.to_bits(), "probe must be memoized");
     }
 
     #[test]

@@ -48,7 +48,6 @@
 //!     choice: None,
 //!     expected_error_pct: 0.0,
 //!     predicted_energy_j: 2e-3,
-//!     measured_window_s: 0.0,
 //!     opp: OperatingPoint::nominal(),
 //! };
 //! let cheap = CandidatePoint {
@@ -61,7 +60,6 @@
 //!     }),
 //!     expected_error_pct: 8.0,
 //!     predicted_energy_j: 1e-3,
-//!     measured_window_s: 0.0,
 //!     opp: OperatingPoint { voltage: 0.7, frequency: 50.0e6 },
 //! };
 //!
@@ -423,16 +421,13 @@ pub struct CandidatePoint {
     pub choice: Option<OperatingChoice>,
     /// Expected ratio distortion (percent; 0 for exact).
     pub expected_error_pct: f64,
-    /// Predicted per-window energy at `opp` (joules).
+    /// Predicted per-window energy at `opp` (joules): the kernel's
+    /// [`crate::CostProfile::predict`] operations converted at `opp`.
     pub predicted_energy_j: f64,
-    /// Measured wall-clock of one probe window under this candidate's
-    /// kernel on the build host (seconds; see
-    /// [`crate::CostProfile::measured_window_s`]). Reporting-only — the
-    /// governor never reads it, so decisions stay host-independent. 0
-    /// when the candidate was built without a probe (e.g. in tests).
-    pub measured_window_s: f64,
-    /// The DVFS operating point this candidate runs at (nominal unless
-    /// the choice converts pruning slack via VFS).
+    /// The DVFS operating point this candidate runs at: one rung of
+    /// [`crate::CostProfile::ladder`], or, from
+    /// [`crate::CostProfile::candidate`], nominal unless the choice
+    /// converts pruning slack via VFS.
     pub opp: OperatingPoint,
 }
 
@@ -857,7 +852,6 @@ mod tests {
             }),
             expected_error_pct: err,
             predicted_energy_j: energy,
-            measured_window_s: 0.0,
             opp: OperatingPoint {
                 voltage,
                 frequency: voltage * 100.0e6,

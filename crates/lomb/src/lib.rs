@@ -10,7 +10,9 @@
 //! The FFT kernel is pluggable via [`hrv_dsp::FftBackend`]: the
 //! conventional system uses the split-radix FFT, the quality-scalable
 //! system swaps in the pruned wavelet FFT of `hrv-wfft` without touching
-//! any other stage.
+//! any other stage. [`LombFft`] is that block as the streaming engine,
+//! its exact-reference audit and the cost probe run it, with the
+//! half-length real-FFT fast path for exact kernels on resampled meshes.
 //!
 //! # Examples
 //!
@@ -42,6 +44,7 @@ mod direct;
 mod extirpolate;
 mod fast;
 mod periodogram;
+mod transform;
 mod welch;
 
 pub use bands::{ArrhythmiaDetector, BandPowers, FreqBand};
@@ -49,4 +52,5 @@ pub use direct::lomb_direct;
 pub use extirpolate::{extirpolate, DEFAULT_ORDER};
 pub use fast::{blocks, FastLomb, MeshScratch, MeshStrategy};
 pub use periodogram::Periodogram;
+pub use transform::LombFft;
 pub use welch::{Segment, WelchAnalysis, WelchLomb};

@@ -1401,7 +1401,7 @@ impl FleetScheduler {
     /// The static operating choices a budget policy offers when no
     /// design-time sweep is supplied (the service's `SetBudget` path):
     /// every Table I static-pruning mode with VFS, expected distortion
-    /// unknown (0) — ordering then falls to rail voltage and measured
+    /// unknown (0) — ordering then falls to rail voltage and predicted
     /// cost, which the shared [`CostProfile`] provides.
     fn static_budget_choices() -> Vec<OperatingChoice> {
         ApproximationMode::TABLE1
@@ -1422,7 +1422,7 @@ impl FleetScheduler {
     /// candidate ladder — operating choices × feasible DVFS rails, costed
     /// by the shared [`CostProfile`]. Pass a sweep to carry design-time
     /// distortion expectations into the candidate ordering; without one
-    /// the Table I static modes compete on rail and measured cost alone.
+    /// the Table I static modes compete on rail and predicted cost alone.
     ///
     /// # Errors
     ///
@@ -2309,6 +2309,68 @@ mod tests {
         assert!(text.contains("hrv_fleet_streams 2"));
         assert!(text.contains("hrv_kernel_builds_total 1"));
         assert!(text.contains("# TYPE hrv_fleet_windows_per_second gauge"));
+    }
+
+    #[test]
+    fn budget_governor_never_selects_a_dominated_candidate() {
+        // The candidate set `set_stream_budget` builds: the exact ladder
+        // plus the Table I static VFS choices, each at every feasible rail.
+        let scheduler = small_fleet(1, 300.0);
+        let shared = scheduler.resolve_runnable(&FleetScheduler::static_budget_choices());
+        let exact = scheduler.cache.exact(scheduler.plan.fft_len());
+        let candidates = scheduler.budget_candidates(&shared, &exact);
+        // Dominated: another candidate is no worse in expected error, in
+        // energy and in rail voltage (the timing margin the governor's
+        // order trades), and strictly better in one of them.
+        let dominated = |c: &CandidatePoint| {
+            candidates.iter().any(|o| {
+                o.expected_error_pct <= c.expected_error_pct
+                    && o.predicted_energy_j <= c.predicted_energy_j
+                    && o.opp.voltage >= c.opp.voltage
+                    && (o.expected_error_pct < c.expected_error_pct
+                        || o.predicted_energy_j < c.predicted_energy_j
+                        || o.opp.voltage > c.opp.voltage)
+            })
+        };
+        let energies = candidates.iter().map(|c| c.predicted_energy_j);
+        let dearest = energies.clone().fold(0.0, f64::max);
+        let cheapest = energies.fold(f64::INFINITY, f64::min);
+        let interval = 4u64;
+        let mut rails = Vec::new();
+        // Loose → tight: from twice the dearest candidate's interval cost
+        // down to half the cheapest's, geometrically.
+        let steps = 40;
+        let (loose, tight) = (2.0 * dearest, 0.5 * cheapest);
+        for step in 0..=steps {
+            let per_window = loose * (tight / loose).powf(step as f64 / steps as f64);
+            let mut governor = EnergyBudgetGovernor::new(
+                candidates.clone(),
+                per_window * interval as f64,
+                interval,
+            );
+            let mut charged = candidates[0].predicted_energy_j;
+            for _ in 0..24 {
+                let directive = governor.observe_window(&WindowObservation {
+                    lf_hf: 0.5,
+                    exact_lf_hf: None,
+                    energy_j: charged,
+                    battery_soc: 1.0,
+                });
+                let selected = candidates
+                    .iter()
+                    .find(|c| c.choice == directive.choice && c.opp == directive.opp)
+                    .expect("the directive names a candidate");
+                assert!(
+                    !dominated(selected),
+                    "budget {per_window} J/window selected a dominated candidate {selected:?}"
+                );
+                charged = selected.predicted_energy_j;
+                if !rails.contains(&selected.opp.voltage.to_bits()) {
+                    rails.push(selected.opp.voltage.to_bits());
+                }
+            }
+        }
+        assert!(rails.len() > 2, "the sweep must walk the rail down");
     }
 
     #[test]

@@ -5,19 +5,17 @@
 //! bit for bit (same starts, same skip rules, same arithmetic) while doing
 //! **less work per window**:
 //!
-//! * Under the paper's resampling front end the Lomb *weight* mesh is the
-//!   same all-ones vector for every window — the overlap between
-//!   consecutive windows extends to the entire weight half of the packed
-//!   Fast-Lomb transform. The engine therefore computes the weight
-//!   spectrum once at construction and, whenever the active kernel is
-//!   exact, transforms only the data mesh through a half-length real FFT
-//!   ([`hrv_dsp::RealFft`]) instead of re-running the full packed
-//!   transform every hop. `BENCH_stream.json` quantifies the saving.
-//! * All per-window buffers come from a reusable [`StreamScratch`], so
-//!   with an exact kernel active the steady-state hot path allocates
-//!   nothing (measured by `fleet_throughput`'s counting allocator).
-//!   Approximate wavelet kernels still allocate inside `hrv-wfft`'s
-//!   transform; making that path scratch-aware is future work.
+//! * The FFT block is [`hrv_lomb::LombFft`]. Under the paper's resampling
+//!   front end the Lomb *weight* mesh is the same all-ones vector for
+//!   every window, so with an exact kernel active it reuses the cached
+//!   weight spectrum and transforms only the data mesh, through a
+//!   half-length real FFT, instead of the full packed transform.
+//!   `BENCH_stream.json` quantifies the saving. Engines cloned from one
+//!   prototype share one `LombFft` (its plan tables and weight spectrum).
+//! * All per-window buffers come from a reusable [`StreamScratch`], and
+//!   every kernel — exact or pruned wavelet — transforms in the caller's
+//!   buffers, so the steady-state hot path allocates nothing (measured by
+//!   `fleet_throughput`'s counting allocator).
 //!
 //! With an approximate (pruned wavelet) kernel active, the engine runs the
 //! identical packed transform the batch system would, so approximation
@@ -26,10 +24,8 @@
 
 use crate::scratch::StreamScratch;
 use hrv_core::{KernelCache, PsaConfig, PsaError, SpectralPlan};
-use hrv_dsp::{
-    fft_real_pair_into, sample_variance, BlockOps, Cx, FftBackend, OpCount, RealFft, SplitRadixFft,
-};
-use hrv_lomb::{blocks, BandPowers, FastLomb, FreqBand, MeshStrategy, Periodogram};
+use hrv_dsp::{sample_variance, BlockOps, FftBackend, OpCount, SplitRadixFft};
+use hrv_lomb::{blocks, BandPowers, FastLomb, FreqBand, LombFft, Periodogram};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -100,12 +96,8 @@ pub struct SlidingLomb {
     min_samples: usize,
     backends: Vec<Arc<dyn FftBackend>>,
     active: usize,
-    /// Half-length real-FFT plan for the exact fast path (resampling front
-    /// end only).
-    rfft: Option<RealFft>,
-    /// Cached spectrum of the all-ones weight mesh: `fft_len` at DC, zero
-    /// elsewhere — reused for every window.
-    weight_spectrum: Vec<Cx>,
+    /// The FFT block, shared by every clone of this engine.
+    fft: Arc<LombFft>,
     /// Full-length exact kernel for audit windows (shared through the
     /// kernel cache when the engine is built from a plan).
     exact: Arc<dyn FftBackend>,
@@ -162,18 +154,14 @@ impl SlidingLomb {
             backend.len()
         );
         assert_eq!(exact.len(), n, "audit kernel length must match fft_len");
-        let resampled = estimator.mesh_strategy() == MeshStrategy::Resample;
-        let mut weight_spectrum = vec![Cx::ZERO; n / 2 + 1];
-        weight_spectrum[0] = Cx::real(n as f64);
         SlidingLomb {
+            fft: Arc::new(LombFft::new(&estimator)),
             estimator,
             window_duration,
             overlap,
             min_samples: 16,
             backends: vec![backend],
             active: 0,
-            rfft: resampled.then(|| RealFft::new(n)),
-            weight_spectrum,
             exact,
             window: VecDeque::new(),
             next_start: None,
@@ -474,43 +462,24 @@ impl SlidingLomb {
         window_ops += ops;
 
         let backend = Arc::clone(&self.backends[self.active]);
-        let fast = self.rfft.is_some() && backend.is_exact();
         let mut ops = OpCount::default();
-        if let (true, Some(rfft)) = (fast, self.rfft.as_ref()) {
-            // Incremental path: the weight half of the packed transform is
-            // identical for every window — reuse its cached spectrum and
-            // transform only the data mesh, at half length.
-            rfft.forward_into(
-                &scratch.wk1,
-                &mut scratch.first,
-                &mut scratch.packed,
-                &mut scratch.fft,
-                &mut ops,
-            );
-        } else {
-            fft_real_pair_into(
-                backend.as_ref(),
-                &scratch.wk1,
-                &scratch.wk2,
-                &mut scratch.first,
-                &mut scratch.second,
-                &mut scratch.packed,
-                &mut scratch.fft,
-                &mut ops,
-            );
-        }
+        let weights = self.fft.transform(
+            backend.as_ref(),
+            &scratch.wk1,
+            &scratch.wk2,
+            &mut scratch.first,
+            &mut scratch.second,
+            &mut scratch.packed,
+            &mut scratch.fft,
+            &mut ops,
+        );
         self.blocks.record(blocks::FFT, ops);
         window_ops += ops;
 
         let mut ops = OpCount::default();
-        let second: &[Cx] = if fast {
-            &self.weight_spectrum
-        } else {
-            &scratch.second
-        };
         self.estimator.combine_into(
             &scratch.first,
-            second,
+            weights,
             self.window_duration,
             samples,
             var,
@@ -529,7 +498,7 @@ impl SlidingLomb {
         }
 
         let powers = band_powers(&scratch.freqs, &scratch.power);
-        let exact_lf_hf = if fast || backend.is_exact() {
+        let exact_lf_hf = if backend.is_exact() {
             Some(powers.lf_hf_ratio())
         } else if self.audit_requested {
             let mut ops = OpCount::default();
@@ -577,32 +546,19 @@ impl SlidingLomb {
         denorm: f64,
         ops: &mut OpCount,
     ) -> f64 {
-        let second: &[Cx] = if let Some(rfft) = self.rfft.as_ref() {
-            rfft.forward_into(
-                &scratch.wk1,
-                &mut scratch.audit_first,
-                &mut scratch.packed,
-                &mut scratch.fft,
-                ops,
-            );
-            // The cached weight spectrum serves the audit directly.
-            &self.weight_spectrum
-        } else {
-            fft_real_pair_into(
-                self.exact.as_ref(),
-                &scratch.wk1,
-                &scratch.wk2,
-                &mut scratch.audit_first,
-                &mut scratch.audit_second,
-                &mut scratch.packed,
-                &mut scratch.fft,
-                ops,
-            );
-            &scratch.audit_second
-        };
+        let weights = self.fft.transform(
+            self.exact.as_ref(),
+            &scratch.wk1,
+            &scratch.wk2,
+            &mut scratch.audit_first,
+            &mut scratch.audit_second,
+            &mut scratch.packed,
+            &mut scratch.fft,
+            ops,
+        );
         self.estimator.combine_into(
             &scratch.audit_first,
-            second,
+            weights,
             self.window_duration,
             samples,
             var,
@@ -775,26 +731,131 @@ mod tests {
         assert_eq!(engine.segments_emitted() as usize, batch.segments().len());
     }
 
+    fn static_choice(mode: hrv_core::ApproximationMode) -> hrv_core::OperatingChoice {
+        hrv_core::OperatingChoice {
+            mode,
+            policy: hrv_core::PruningPolicy::Static,
+            vfs: false,
+            expected_error_pct: 0.0,
+            expected_savings_pct: 0.0,
+        }
+    }
+
+    /// An engine wired as the fleet wires one: built from the plan through
+    /// the shared cache, with `mode`'s static kernel made active.
+    fn fleet_engine(
+        plan: &SpectralPlan,
+        cache: &KernelCache,
+        mode: hrv_core::ApproximationMode,
+    ) -> SlidingLomb {
+        let backend = cache
+            .backend_for_choice(plan, &static_choice(mode))
+            .expect("static");
+        let mut engine = SlidingLomb::from_plan(plan, cache).expect("valid");
+        if !backend.is_exact() {
+            let index = engine.add_backend(backend);
+            engine.set_active_backend(index);
+        }
+        engine
+    }
+
     #[test]
     fn scratch_capacities_stabilise_after_warmup() {
         let (times, values) = rr_series(900.0, 5);
-        let mut engine = SlidingLomb::paper_default();
-        let mut scratch = StreamScratch::new();
-        let mut sink = |_: &WindowView<'_>| {};
-        let mut signature_after_warmup = None;
-        for (i, (&t, &v)) in times.iter().zip(&values).enumerate() {
-            engine.push(t, v, &mut scratch, &mut sink);
-            if i == times.len() / 2 {
-                signature_after_warmup = Some(scratch.capacity_signature());
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("valid");
+        let cache = KernelCache::new();
+        for mode in hrv_core::ApproximationMode::ALL {
+            for audit in [false, true] {
+                let mut engine = fleet_engine(&plan, &cache, mode);
+                let mut scratch = StreamScratch::new();
+                let mut sink = |_: &WindowView<'_>| {};
+                let mut signature_after_warmup = None;
+                for (i, (&t, &v)) in times.iter().zip(&values).enumerate() {
+                    if audit {
+                        engine.request_audit();
+                    }
+                    engine.push(t, v, &mut scratch, &mut sink);
+                    if i == times.len() / 2 {
+                        signature_after_warmup = Some(scratch.capacity_signature());
+                    }
+                }
+                engine.finish(&mut scratch, &mut sink);
+                assert_eq!(
+                    Some(scratch.capacity_signature()),
+                    signature_after_warmup,
+                    "{mode} (audit {audit}): steady-state windows must not grow any buffer"
+                );
+                assert!(engine.segments_emitted() > 10);
+                let audited = engine.blocks().get(AUDIT_BLOCK).is_some();
+                assert_eq!(audited, audit && mode != hrv_core::ApproximationMode::Exact);
             }
         }
-        engine.finish(&mut scratch, &mut sink);
+    }
+
+    #[test]
+    fn cost_probe_charges_the_fft_ops_of_a_live_engine() {
+        use hrv_core::{ApproximationMode, NodeModel};
+        let (times, values) = rr_series(620.0, 8);
+        let plan = SpectralPlan::new(PsaConfig::conventional()).expect("valid");
+        let cache = KernelCache::new();
+        let profile = cache.cost_profile(&plan, &NodeModel::default());
+        // Per kernel: the probe's predicted window ops and the engine's
+        // per-window `blocks::FFT` tally (identical for every window).
+        let charged: Vec<(OpCount, OpCount)> = ApproximationMode::ALL
+            .into_iter()
+            .map(|mode| {
+                let choice = static_choice(mode);
+                let backend = cache.backend_for_choice(&plan, &choice).expect("static");
+                let predicted = profile.predict(plan.spec_for_choice(&choice), backend.as_ref());
+                let mut engine = fleet_engine(&plan, &cache, mode);
+                let mut scratch = StreamScratch::new();
+                let mut per_window = Vec::new();
+                let mut before = OpCount::default();
+                for (&t, &v) in times.iter().zip(&values) {
+                    if engine.push(t, v, &mut scratch, &mut |_| {}) == 1 {
+                        let after = *engine.blocks().get(blocks::FFT).expect("fft block");
+                        per_window.push(after.saturating_sub(&before));
+                        before = after;
+                    }
+                }
+                assert!(per_window.len() > 5, "{mode}");
+                assert!(per_window.iter().all(|ops| *ops == per_window[0]), "{mode}");
+                (predicted, per_window[0])
+            })
+            .collect();
+        // The probe's non-FFT ops come from its own window, so compare
+        // each kernel against the exact one: predicted differences must
+        // equal live FFT differences, field by field.
+        let (exact_predicted, exact_fft) = charged[0];
+        for (mode, &(predicted, fft)) in ApproximationMode::ALL.iter().zip(&charged) {
+            assert_eq!(
+                predicted + exact_fft,
+                exact_predicted + fft,
+                "{mode}: probe and engine disagree on the FFT block"
+            );
+        }
+        // Live, the exact kernel is the cheapest (its half-length fast
+        // path), so by the equalities above the probe charged it that
+        // path too.
+        assert!(charged[1..]
+            .iter()
+            .all(|(_, fft)| fft.arithmetic() > exact_fft.arithmetic()));
+    }
+
+    #[test]
+    fn engines_cloned_from_one_prototype_share_one_transform() {
+        let prototype = SlidingLomb::paper_default();
+        let mut a = prototype.clone();
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(&prototype.fft, &a.fft));
+        assert!(Arc::ptr_eq(&a.fft, &b.fft));
+        // Sharing changes nothing: two clones fed the same samples emit
+        // the same spectra.
+        let (times, values) = rr_series(400.0, 10);
         assert_eq!(
-            Some(scratch.capacity_signature()),
-            signature_after_warmup,
-            "steady-state windows must not grow any buffer"
+            stream_segments(&mut a, &times, &values),
+            stream_segments(&mut b, &times, &values)
         );
-        assert!(engine.segments_emitted() > 10);
     }
 
     #[test]
