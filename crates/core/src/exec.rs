@@ -25,9 +25,9 @@ use crate::error::PsaError;
 use crate::govern::CandidatePoint;
 use crate::quality::OperatingChoice;
 use crate::sync::lock_unpoisoned;
-use hrv_dsp::{Cx, FftBackend, OpCount, SplitRadixFft, Window};
+use hrv_dsp::{BlockOps, Cx, FftBackend, OpCount, SplitRadixFft, Window};
 use hrv_ecg::RrSeries;
-use hrv_lomb::{FastLomb, LombFft, MeshScratch, MeshStrategy};
+use hrv_lomb::{blocks, FastLomb, LombFft, LombScratch, MeshStrategy};
 use hrv_node_sim::OperatingPoint;
 use hrv_wavelet::WaveletBasis;
 use hrv_wfft::{PrunedWfft, WaveletFftBackend, WfftPlan};
@@ -368,19 +368,17 @@ fn probe_window(duration: f64) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// The kernel-independent half of a cost profile: one probe window run
-/// through the plan's estimator stages, its meshes retained so each
-/// kernel's FFT cost can be measured on demand through the engine's own
-/// FFT block.
+/// through the streaming engine's window routine, its meshes retained so
+/// each kernel's FFT cost can be measured on demand.
 #[derive(Debug)]
 struct ProfileData {
     hop_s: f64,
     window_duration: f64,
     probe_samples: usize,
-    probe_var: f64,
-    wk1: Vec<f64>,
-    wk2: Vec<f64>,
-    /// The FFT block, planned as the streaming engine plans it.
-    fft: LombFft,
+    /// The window routine, planned as the streaming engine plans it.
+    lomb: LombFft,
+    /// The probe window's meshes and statistics.
+    probe: LombScratch,
     /// Non-FFT per-window ops (prepare + mesh + Lomb combine).
     base_ops: OpCount,
     /// Per-kernel FFT op tallies on the probe meshes, keyed by spec.
@@ -388,58 +386,25 @@ struct ProfileData {
 }
 
 impl ProfileData {
-    fn new(plan: &SpectralPlan) -> Self {
+    /// Runs the probe window with `exact` as the FFT kernel; only the
+    /// non-FFT blocks are kept, since `predict` tallies the FFT per kernel.
+    fn new(plan: &SpectralPlan, exact: &dyn FftBackend) -> Self {
         let config = plan.config();
-        let estimator = plan.estimator().with_span(config.window_duration);
+        let lomb = LombFft::new(plan.estimator().with_span(config.window_duration));
         let (times, values) = probe_window(config.window_duration);
-        let mut scratch = MeshScratch::new();
-        let mut base_ops = OpCount::default();
-        let probe_var = estimator.prepare_variance(&times, &values, &mut scratch, &mut base_ops);
-        let (mut wk1, mut wk2) = (Vec::new(), Vec::new());
-        estimator.meshes_into(
-            &times,
-            &values,
-            &mut wk1,
-            &mut wk2,
-            &mut scratch,
-            &mut base_ops,
-        );
-        let fft = LombFft::new(&estimator);
-        // The combine's tally depends on the frequency grid alone; the
-        // exact spectra feed it here.
-        let (mut first, mut second) = (Vec::new(), Vec::new());
-        let (mut packed, mut fft_scratch) = (Vec::new(), Vec::new());
-        let weights = fft.transform(
-            &SplitRadixFft::new(config.fft_len),
-            &wk1,
-            &wk2,
-            &mut first,
-            &mut second,
-            &mut packed,
-            &mut fft_scratch,
-            &mut OpCount::default(),
-        );
-        let (mut freqs, mut power) = (Vec::new(), Vec::new());
-        estimator.combine_into(
-            &first,
-            weights,
-            config.window_duration,
-            times.len(),
-            probe_var,
-            &mut freqs,
-            &mut power,
-            &mut base_ops,
-        );
-
+        let mut probe = LombScratch::default();
+        let mut profile = BlockOps::new();
+        let window_ops = lomb.window(exact, &times, &values, &mut probe, &mut profile);
+        let fft_ops = profile
+            .get(blocks::FFT)
+            .expect("the routine records its FFT");
         ProfileData {
             hop_s: config.window_duration * (1.0 - config.overlap),
             window_duration: config.window_duration,
             probe_samples: times.len(),
-            probe_var,
-            wk1,
-            wk2,
-            fft,
-            base_ops,
+            base_ops: window_ops.saturating_sub(fft_ops),
+            lomb,
+            probe,
             fft_ops: Mutex::new(HashMap::new()),
         }
     }
@@ -533,13 +498,14 @@ impl CostProfile {
     pub fn predict(&self, spec: KernelSpec, backend: &dyn FftBackend) -> OpCount {
         let mut memo = lock_unpoisoned(&self.data.fft_ops);
         let fft_ops = *memo.entry(spec).or_insert_with(|| {
+            let (wk1, wk2) = self.data.probe.meshes();
             let (mut first, mut second) = (Vec::new(), Vec::new());
             let (mut packed, mut fft_scratch) = (Vec::new(), Vec::new());
             let mut ops = OpCount::default();
-            self.data.fft.transform(
+            self.data.lomb.transform(
                 backend,
-                &self.data.wk1,
-                &self.data.wk2,
+                wk1,
+                wk2,
                 &mut first,
                 &mut second,
                 &mut packed,
@@ -631,7 +597,7 @@ impl CostProfile {
     /// The probe window's sample count and prepare-stage variance —
     /// exposed so tests can sanity-check the probe against a live window.
     pub fn probe_stats(&self) -> (usize, f64) {
-        (self.data.probe_samples, self.data.probe_var)
+        (self.data.probe_samples, self.data.probe.variance())
     }
 
     /// The analysis window duration in seconds.
@@ -813,11 +779,10 @@ impl KernelCache {
         );
         let data = {
             let mut profiles = lock_unpoisoned(&self.inner.profiles);
-            Arc::clone(
-                profiles
-                    .entry(key)
-                    .or_insert_with(|| Arc::new(ProfileData::new(plan))),
-            )
+            Arc::clone(profiles.entry(key).or_insert_with(|| {
+                let exact = self.exact(plan.fft_len());
+                Arc::new(ProfileData::new(plan, exact.as_ref()))
+            }))
         };
         CostProfile {
             node: node.clone(),

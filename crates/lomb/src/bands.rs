@@ -6,7 +6,7 @@
 //! condition" — respiratory sinus arrhythmia concentrates power at the
 //! respiratory (HF) frequency.
 
-use crate::periodogram::Periodogram;
+use crate::periodogram::{grid_band_power, Periodogram};
 use std::fmt;
 
 /// A frequency band `[lo, hi)` in hertz.
@@ -60,11 +60,7 @@ pub struct BandPowers {
 impl BandPowers {
     /// Integrates the standard bands of a periodogram.
     pub fn of(periodogram: &Periodogram) -> Self {
-        BandPowers {
-            ulf: periodogram.band_power(FreqBand::ULF.lo, FreqBand::ULF.hi),
-            lf: periodogram.band_power(FreqBand::LF.lo, FreqBand::LF.hi),
-            hf: periodogram.band_power(FreqBand::HF.lo, FreqBand::HF.hi),
-        }
+        band_powers(periodogram.freqs(), periodogram.power())
     }
 
     /// The LFP/HFP ratio — the paper's quality and detection metric.
@@ -89,6 +85,18 @@ impl fmt::Display for BandPowers {
             self.hf,
             self.lf_hf_ratio()
         )
+    }
+}
+
+/// Integrates the standard HRV bands straight from grid slices (the
+/// allocation-free form of [`BandPowers::of`]).
+// analyze::hot_path
+pub fn band_powers(freqs: &[f64], power: &[f64]) -> BandPowers {
+    let band = |b: FreqBand| grid_band_power(freqs, power, b.lo, b.hi);
+    BandPowers {
+        ulf: band(FreqBand::ULF),
+        lf: band(FreqBand::LF),
+        hf: band(FreqBand::HF),
     }
 }
 

@@ -48,6 +48,27 @@ impl MeshScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Sum of the buffers' capacities (elements, not bytes).
+    pub(crate) fn capacity_signature(&self) -> usize {
+        [
+            &self.tapered,
+            &self.taper,
+            &self.grid,
+            &self.inv_h,
+            &self.slope,
+            &self.m,
+            &self.c_prime,
+            &self.d_prime,
+            &self.c0,
+            &self.c1,
+            &self.c2,
+            &self.c3,
+        ]
+        .iter()
+        .map(|v| v.capacity())
+        .sum()
+    }
 }
 
 /// Block names used in profiled runs (paper Fig. 1(b)).
@@ -209,25 +230,11 @@ impl FastLomb {
         self.ofac
     }
 
-    /// Builds the two real meshes for `(times, values)` under the active
-    /// strategy, accounting the cost into `ops`.
-    fn build_meshes(
-        &self,
-        times: &[f64],
-        values: &[f64],
-        ops: &mut OpCount,
-    ) -> (Vec<f64>, Vec<f64>) {
-        let mut wk1 = Vec::new();
-        let mut wk2 = Vec::new();
-        self.meshes_into(
-            times,
-            values,
-            &mut wk1,
-            &mut wk2,
-            &mut MeshScratch::new(),
-            ops,
-        );
-        (wk1, wk2)
+    /// The segment span in seconds: the [`FastLomb::with_span`] value, or
+    /// the observed time range when no override is set.
+    pub(crate) fn span_of(&self, times: &[f64]) -> f64 {
+        let observed_span = times.last().expect("non-empty") - times[0];
+        self.span_override.unwrap_or(observed_span)
     }
 
     /// Fills `wk1`/`wk2` with the data and weight meshes for
@@ -254,8 +261,7 @@ impl FastLomb {
         assert_eq!(times.len(), values.len(), "times and values must match");
         assert!(times.len() >= 3, "need at least 3 samples");
         let t0 = times[0];
-        let observed_span = times.last().expect("non-empty") - t0;
-        let span = self.span_override.unwrap_or(observed_span);
+        let span = self.span_of(times);
         assert!(span > 0.0, "time span must be positive");
         wk1.clear();
         wk1.resize(self.fft_len, 0.0);
@@ -324,8 +330,7 @@ impl FastLomb {
     ) -> f64 {
         assert_eq!(times.len(), values.len(), "times and values must match");
         let t0 = times[0];
-        let observed_span = times.last().expect("non-empty") - t0;
-        let span = self.span_override.unwrap_or(observed_span);
+        let span = self.span_of(times);
         let ave = mean(values);
         ops.add += values.len() as u64;
         ops.div += 1;
@@ -423,8 +428,9 @@ impl FastLomb {
         assert!(times.len() >= 3, "need at least 3 samples");
         let observed_span = times.last().expect("non-empty") - times[0];
         assert!(observed_span > 0.0, "time span must be positive");
-        let mut mesh_ops = OpCount::default();
-        let (wk1, wk2) = self.build_meshes(times, values, &mut mesh_ops);
+        let (mut wk1, mut wk2) = (Vec::new(), Vec::new());
+        let (mut scratch, mut ops) = (MeshScratch::new(), OpCount::default());
+        self.meshes_into(times, values, &mut wk1, &mut wk2, &mut scratch, &mut ops);
         wk1.iter()
             .zip(&wk2)
             .map(|(&re, &im)| hrv_dsp::Cx::new(re, im))

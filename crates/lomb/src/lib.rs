@@ -10,9 +10,12 @@
 //! The FFT kernel is pluggable via [`hrv_dsp::FftBackend`]: the
 //! conventional system uses the split-radix FFT, the quality-scalable
 //! system swaps in the pruned wavelet FFT of `hrv-wfft` without touching
-//! any other stage. [`LombFft`] is that block as the streaming engine,
-//! its exact-reference audit and the cost probe run it, with the
-//! half-length real-FFT fast path for exact kernels on resampled meshes.
+//! any other stage.
+//!
+//! Batch [`FastLomb::periodogram_profiled`] is the allocating reference
+//! pipeline. [`LombFft::window`] runs the same stages on one window into a
+//! reusable [`LombScratch`], allocating nothing once warm; the streaming
+//! engine, its exact-reference audit and the cost probe all run it.
 //!
 //! # Examples
 //!
@@ -47,10 +50,10 @@ mod periodogram;
 mod transform;
 mod welch;
 
-pub use bands::{ArrhythmiaDetector, BandPowers, FreqBand};
+pub use bands::{band_powers, ArrhythmiaDetector, BandPowers, FreqBand};
 pub use direct::lomb_direct;
 pub use extirpolate::{extirpolate, DEFAULT_ORDER};
 pub use fast::{blocks, FastLomb, MeshScratch, MeshStrategy};
 pub use periodogram::Periodogram;
-pub use transform::LombFft;
+pub use transform::{LombFft, LombScratch, LombSpectrum};
 pub use welch::{Segment, WelchAnalysis, WelchLomb};

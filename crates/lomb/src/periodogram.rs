@@ -49,24 +49,14 @@ impl Periodogram {
 
     /// Grid spacing in hertz (assumes a regular grid).
     pub fn df(&self) -> f64 {
-        if self.freqs.len() > 1 {
-            self.freqs[1] - self.freqs[0]
-        } else {
-            self.freqs[0]
-        }
+        grid_df(&self.freqs)
     }
 
     /// Total power in `[lo, hi)` hertz (rectangle rule × `df`).
     ///
     /// Returns 0 when no bins fall in the band.
     pub fn band_power(&self, lo: f64, hi: f64) -> f64 {
-        let df = self.df();
-        self.freqs
-            .iter()
-            .zip(&self.power)
-            .filter(|(&f, _)| f >= lo && f < hi)
-            .map(|(_, &p)| p * df)
-            .sum()
+        grid_band_power(&self.freqs, &self.power, lo, hi)
     }
 
     /// Frequency of the largest power bin.
@@ -87,6 +77,30 @@ impl Periodogram {
             power: self.power.iter().map(|p| p * factor).collect(),
         }
     }
+}
+
+/// Spacing of a regular frequency grid: the first bin when it is the only
+/// one, 0 when the grid is empty.
+fn grid_df(freqs: &[f64]) -> f64 {
+    if freqs.len() > 1 {
+        freqs[1] - freqs[0]
+    } else {
+        freqs.first().copied().unwrap_or(0.0)
+    }
+}
+
+/// Total power in `[lo, hi)` hertz of the regular grid `freqs`/`power`
+/// (rectangle rule × df) — the one band integration behind
+/// [`Periodogram::band_power`] and [`crate::band_powers`].
+// analyze::hot_path
+pub(crate) fn grid_band_power(freqs: &[f64], power: &[f64], lo: f64, hi: f64) -> f64 {
+    let df = grid_df(freqs);
+    freqs
+        .iter()
+        .zip(power)
+        .filter(|(&f, _)| f >= lo && f < hi)
+        .map(|(_, &p)| p * df)
+        .sum()
 }
 
 #[cfg(test)]

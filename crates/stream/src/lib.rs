@@ -76,13 +76,14 @@ pub use fleet::{
     cohort_member, cohort_samples, BatteryStatus, FleetConfig, FleetReport, FleetScheduler,
     StreamBudget, StreamBudgetStatus, StreamReport, BATTERY_LOW_SOC,
 };
+pub use hrv_lomb::band_powers;
 pub use ingest::{IngestStats, RrIngest};
 pub use journal::{
     decode_events, encode_events, EventJournal, EventRecord, StreamEvent, SwitchReason,
     EVENT_JOURNAL_CAPACITY,
 };
 pub use scratch::StreamScratch;
-pub use sliding::{band_powers, SlidingLomb, WindowView, AUDIT_BLOCK};
+pub use sliding::{SlidingLomb, WindowView, AUDIT_BLOCK};
 
 /// The run-time controller as a stream holds it: a boxed
 /// [`hrv_core::QualityGovernor`] fed one quality-only observation per

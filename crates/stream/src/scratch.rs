@@ -1,13 +1,13 @@
 //! Reusable per-window working memory.
 //!
-//! Every buffer the sliding engine touches per emitted window lives here,
-//! so that after a warm-up phase the hot path performs **zero heap
-//! allocations per window** — the property that lets one node multiplex
-//! thousands of patient streams (`fleet_throughput` measures it with a
-//! counting allocator).
+//! Every buffer the sliding engine touches per emitted window lives here —
+//! the window's samples, the Fast-Lomb routine's [`LombScratch`] and the
+//! audit spectrum — so that after a warm-up phase the hot path performs
+//! **zero heap allocations per window**, the property that lets one node
+//! multiplex thousands of patient streams (`fleet_throughput` measures it
+//! with a counting allocator).
 
-use hrv_dsp::Cx;
-use hrv_lomb::MeshScratch;
+use hrv_lomb::{LombScratch, LombSpectrum};
 
 /// Working buffers for one in-flight window computation.
 ///
@@ -20,32 +20,10 @@ pub struct StreamScratch {
     pub(crate) seg_times: Vec<f64>,
     /// Window sample values.
     pub(crate) seg_values: Vec<f64>,
-    /// Data mesh.
-    pub(crate) wk1: Vec<f64>,
-    /// Weight mesh.
-    pub(crate) wk2: Vec<f64>,
-    /// Data half-spectrum.
-    pub(crate) first: Vec<Cx>,
-    /// Weight half-spectrum (full packed path only).
-    pub(crate) second: Vec<Cx>,
-    /// Packed complex FFT input.
-    pub(crate) packed: Vec<Cx>,
-    /// FFT kernel working set.
-    pub(crate) fft: Vec<Cx>,
-    /// Output frequency grid.
-    pub(crate) freqs: Vec<f64>,
-    /// Output power values.
-    pub(crate) power: Vec<f64>,
-    /// Audit-path data spectrum.
-    pub(crate) audit_first: Vec<Cx>,
-    /// Audit-path weight spectrum.
-    pub(crate) audit_second: Vec<Cx>,
-    /// Audit-path frequency grid.
-    pub(crate) audit_freqs: Vec<f64>,
-    /// Audit-path power values.
-    pub(crate) audit_power: Vec<f64>,
-    /// Spline / prepare intermediates.
-    pub(crate) mesh: MeshScratch,
+    /// The Fast-Lomb window routine's buffers and the window's spectrum.
+    pub(crate) lomb: LombScratch,
+    /// Audit-path (exact-reference) spectrum.
+    pub(crate) audit: LombSpectrum,
 }
 
 impl StreamScratch {
@@ -61,18 +39,8 @@ impl StreamScratch {
     pub fn capacity_signature(&self) -> usize {
         self.seg_times.capacity()
             + self.seg_values.capacity()
-            + self.wk1.capacity()
-            + self.wk2.capacity()
-            + self.first.capacity()
-            + self.second.capacity()
-            + self.packed.capacity()
-            + self.fft.capacity()
-            + self.freqs.capacity()
-            + self.power.capacity()
-            + self.audit_first.capacity()
-            + self.audit_second.capacity()
-            + self.audit_freqs.capacity()
-            + self.audit_power.capacity()
+            + self.lomb.capacity_signature()
+            + self.audit.capacity_signature()
     }
 }
 

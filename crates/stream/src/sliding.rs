@@ -5,27 +5,31 @@
 //! bit for bit (same starts, same skip rules, same arithmetic) while doing
 //! **less work per window**:
 //!
-//! * The FFT block is [`hrv_lomb::LombFft`]. Under the paper's resampling
-//!   front end the Lomb *weight* mesh is the same all-ones vector for
-//!   every window, so with an exact kernel active it reuses the cached
-//!   weight spectrum and transforms only the data mesh, through a
-//!   half-length real FFT, instead of the full packed transform.
-//!   `BENCH_stream.json` quantifies the saving. Engines cloned from one
-//!   prototype share one `LombFft` (its plan tables and weight spectrum).
+//! * The spectral work of a window — prepare, mesh, FFT, Lomb calculator
+//!   — is one call to [`hrv_lomb::LombFft::window`], the routine the cost
+//!   probe also runs. Under the paper's resampling front end the Lomb
+//!   *weight* mesh is the same all-ones vector for every window, so with an
+//!   exact kernel active the routine reuses the cached weight spectrum and
+//!   transforms only the data mesh, through a half-length real FFT,
+//!   instead of the full packed transform. `BENCH_stream.json` quantifies
+//!   the saving. Engines cloned from one prototype share one routine (its
+//!   plan tables and weight spectrum).
 //! * All per-window buffers come from a reusable [`StreamScratch`], and
-//!   every kernel — exact or pruned wavelet — transforms in the caller's
-//!   buffers, so the steady-state hot path allocates nothing (measured by
+//!   every kernel — exact or pruned wavelet — transforms in those buffers,
+//!   so the steady-state hot path allocates nothing (measured by
 //!   `fleet_throughput`'s counting allocator).
 //!
-//! With an approximate (pruned wavelet) kernel active, the engine runs the
-//! identical packed transform the batch system would, so approximation
-//! behaviour — and the quality controller's design-time expectations —
-//! carry over unchanged.
+//! The engine itself keeps only what the batch pipeline does around the
+//! routine: windowing, skip rules, de-normalisation, band powers and the
+//! running average. With an approximate (pruned wavelet) kernel active,
+//! the routine runs the identical packed transform the batch system
+//! would, so approximation behaviour — and the quality controller's
+//! design-time expectations — carry over unchanged.
 
 use crate::scratch::StreamScratch;
 use hrv_core::{KernelCache, PsaConfig, PsaError, SpectralPlan};
 use hrv_dsp::{sample_variance, BlockOps, FftBackend, OpCount, SplitRadixFft};
-use hrv_lomb::{blocks, BandPowers, FastLomb, FreqBand, LombFft, Periodogram};
+use hrv_lomb::{band_powers, BandPowers, FastLomb, LombFft, Periodogram};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -90,14 +94,14 @@ impl WindowView<'_> {
 /// ```
 #[derive(Clone, Debug)]
 pub struct SlidingLomb {
-    estimator: FastLomb,
     window_duration: f64,
     overlap: f64,
     min_samples: usize,
     backends: Vec<Arc<dyn FftBackend>>,
     active: usize,
-    /// The FFT block, shared by every clone of this engine.
-    fft: Arc<LombFft>,
+    /// The Fast-Lomb window routine (estimator, FFT plan and weight
+    /// spectrum), shared by every clone of this engine.
+    lomb: Arc<LombFft>,
     /// Full-length exact kernel for audit windows (shared through the
     /// kernel cache when the engine is built from a plan).
     exact: Arc<dyn FftBackend>,
@@ -155,8 +159,7 @@ impl SlidingLomb {
         );
         assert_eq!(exact.len(), n, "audit kernel length must match fft_len");
         SlidingLomb {
-            fft: Arc::new(LombFft::new(&estimator)),
-            estimator,
+            lomb: Arc::new(LombFft::new(estimator)),
             window_duration,
             overlap,
             min_samples: 16,
@@ -245,7 +248,7 @@ impl SlidingLomb {
     pub fn add_backend(&mut self, backend: Arc<dyn FftBackend>) -> usize {
         assert_eq!(
             backend.len(),
-            self.estimator.fft_len(),
+            self.exact.len(),
             "backend length must match fft_len"
         );
         self.backends.push(backend);
@@ -436,73 +439,29 @@ impl SlidingLomb {
             return false;
         }
 
-        // ---- the batch pipeline stages, on reusable buffers -------------
-        let mut window_ops = OpCount::default();
-
-        let mut ops = OpCount::default();
-        let var = self.estimator.prepare_variance(
-            &scratch.seg_times,
-            &scratch.seg_values,
-            &mut scratch.mesh,
-            &mut ops,
-        );
-        self.blocks.record(blocks::PREPARE, ops);
-        window_ops += ops;
-
-        let mut ops = OpCount::default();
-        self.estimator.meshes_into(
-            &scratch.seg_times,
-            &scratch.seg_values,
-            &mut scratch.wk1,
-            &mut scratch.wk2,
-            &mut scratch.mesh,
-            &mut ops,
-        );
-        self.blocks.record(blocks::EXTIRPOLATE, ops);
-        window_ops += ops;
-
         let backend = Arc::clone(&self.backends[self.active]);
-        let mut ops = OpCount::default();
-        let weights = self.fft.transform(
+        let mut window_ops = self.lomb.window(
             backend.as_ref(),
-            &scratch.wk1,
-            &scratch.wk2,
-            &mut scratch.first,
-            &mut scratch.second,
-            &mut scratch.packed,
-            &mut scratch.fft,
-            &mut ops,
+            &scratch.seg_times,
+            &scratch.seg_values,
+            &mut scratch.lomb,
+            &mut self.blocks,
         );
-        self.blocks.record(blocks::FFT, ops);
-        window_ops += ops;
-
-        let mut ops = OpCount::default();
-        self.estimator.combine_into(
-            &scratch.first,
-            weights,
-            self.window_duration,
-            samples,
-            var,
-            &mut scratch.freqs,
-            &mut scratch.power,
-            &mut ops,
-        );
-        self.blocks.record(blocks::LOMB, ops);
-        window_ops += ops;
 
         // De-normalise by 2σ²/N so segment variance re-enters the average
         // (batch Welch–Lomb does the same).
         let denorm = 2.0 * seg_var / samples as f64;
-        for p in &mut scratch.power {
+        for p in scratch.lomb.spectrum_mut().power_mut() {
             *p *= denorm;
         }
 
-        let powers = band_powers(&scratch.freqs, &scratch.power);
+        let spectrum = scratch.lomb.spectrum();
+        let powers = band_powers(spectrum.freqs(), spectrum.power());
         let exact_lf_hf = if backend.is_exact() {
             Some(powers.lf_hf_ratio())
         } else if self.audit_requested {
             let mut ops = OpCount::default();
-            let ratio = self.exact_reference_ratio(scratch, var, samples, denorm, &mut ops);
+            let ratio = self.exact_reference_ratio(scratch, denorm, &mut ops);
             self.blocks.record(AUDIT_BLOCK, ops);
             window_ops += ops;
             Some(ratio)
@@ -512,11 +471,12 @@ impl SlidingLomb {
         self.audit_requested = false;
 
         // Running average (all windows share one grid by construction).
+        let spectrum = scratch.lomb.spectrum();
         if self.avg_power.is_empty() {
-            self.avg_freqs.extend_from_slice(&scratch.freqs);
-            self.avg_power.resize(scratch.power.len(), 0.0);
+            self.avg_freqs.extend_from_slice(spectrum.freqs());
+            self.avg_power.resize(spectrum.power().len(), 0.0);
         }
-        for (a, &p) in self.avg_power.iter_mut().zip(scratch.power.iter()) {
+        for (a, &p) in self.avg_power.iter_mut().zip(spectrum.power()) {
             *a += p;
         }
         self.segments += 1;
@@ -524,8 +484,8 @@ impl SlidingLomb {
         let view = WindowView {
             start,
             samples,
-            freqs: &scratch.freqs,
-            power: &scratch.power,
+            freqs: spectrum.freqs(),
+            power: spectrum.power(),
             powers,
             exact_lf_hf,
             ops: window_ops,
@@ -536,64 +496,22 @@ impl SlidingLomb {
     }
 
     /// Computes the exact-kernel LF/HF ratio for the current window (audit
-    /// path for approximate kernels), reusing audit scratch buffers.
+    /// path for approximate kernels) on the meshes the window routine just
+    /// built, into the audit spectrum.
     // analyze::hot_path
     fn exact_reference_ratio(
         &self,
         scratch: &mut StreamScratch,
-        var: f64,
-        samples: usize,
         denorm: f64,
         ops: &mut OpCount,
     ) -> f64 {
-        let weights = self.fft.transform(
-            self.exact.as_ref(),
-            &scratch.wk1,
-            &scratch.wk2,
-            &mut scratch.audit_first,
-            &mut scratch.audit_second,
-            &mut scratch.packed,
-            &mut scratch.fft,
-            ops,
-        );
-        self.estimator.combine_into(
-            &scratch.audit_first,
-            weights,
-            self.window_duration,
-            samples,
-            var,
-            &mut scratch.audit_freqs,
-            &mut scratch.audit_power,
-            ops,
-        );
-        for p in &mut scratch.audit_power {
+        let audit = &mut scratch.audit;
+        self.lomb
+            .spectrum_into(self.exact.as_ref(), &mut scratch.lomb, audit, ops);
+        for p in audit.power_mut() {
             *p *= denorm;
         }
-        band_powers(&scratch.audit_freqs, &scratch.audit_power).lf_hf_ratio()
-    }
-}
-
-/// Integrates the standard HRV bands straight from grid slices (the
-/// allocation-free counterpart of `BandPowers::of`).
-// analyze::hot_path
-pub fn band_powers(freqs: &[f64], power: &[f64]) -> BandPowers {
-    let df = if freqs.len() > 1 {
-        freqs[1] - freqs[0]
-    } else {
-        freqs.first().copied().unwrap_or(0.0)
-    };
-    let band = |b: FreqBand| -> f64 {
-        freqs
-            .iter()
-            .zip(power)
-            .filter(|(&f, _)| f >= b.lo && f < b.hi)
-            .map(|(_, &p)| p * df)
-            .sum()
-    };
-    BandPowers {
-        ulf: band(FreqBand::ULF),
-        lf: band(FreqBand::LF),
-        hf: band(FreqBand::HF),
+        band_powers(audit.freqs(), audit.power()).lf_hf_ratio()
     }
 }
 
@@ -601,7 +519,7 @@ pub fn band_powers(freqs: &[f64], power: &[f64]) -> BandPowers {
 mod tests {
     use super::*;
     use hrv_dsp::Window;
-    use hrv_lomb::WelchLomb;
+    use hrv_lomb::{blocks, WelchLomb};
 
     /// ≈ 70 bpm RR series with LF + HF content.
     fn rr_series(duration: f64, seed: u64) -> (Vec<f64>, Vec<f64>) {
@@ -847,8 +765,8 @@ mod tests {
         let prototype = SlidingLomb::paper_default();
         let mut a = prototype.clone();
         let mut b = a.clone();
-        assert!(Arc::ptr_eq(&prototype.fft, &a.fft));
-        assert!(Arc::ptr_eq(&a.fft, &b.fft));
+        assert!(Arc::ptr_eq(&prototype.lomb, &a.lomb));
+        assert!(Arc::ptr_eq(&a.lomb, &b.lomb));
         // Sharing changes nothing: two clones fed the same samples emit
         // the same spectra.
         let (times, values) = rr_series(400.0, 10);

@@ -339,6 +339,74 @@ mod tests {
     }
 
     #[test]
+    fn haar_stage_n4_is_known() {
+        // zL[m] = h0[0]·x[2m] + h0[1]·x[2m−1], zH likewise with h1 =
+        // (s, −s); index −1 wraps circularly to 3.
+        let s = std::f64::consts::FRAC_1_SQRT_2;
+        let x = [1.0, 2.0, 3.0, 4.0];
+        let (low, high) = analysis_stage_real(
+            &x,
+            &FilterPair::new(WaveletBasis::Haar),
+            &mut OpCount::default(),
+        );
+        for (got, want) in low.iter().chain(&high).zip([5.0, 5.0, -3.0, 1.0]) {
+            assert!((got - want * s).abs() < 1e-12, "{got} vs {}", want * s);
+        }
+    }
+
+    #[test]
+    fn analysis_matches_the_convention_for_every_basis() {
+        let n = 16;
+        let x = ramp_cx(n);
+        for basis in WaveletBasis::ALL {
+            let pair = FilterPair::new(basis);
+            let band = |h: &[f64], m: usize| -> Cx {
+                (0..pair.taps()).fold(Cx::ZERO, |acc, j| acc + x[(2 * m + n - j % n) % n] * h[j])
+            };
+            let mut ops = OpCount::default();
+            let (low, high) = analysis_stage(&x, &pair, &mut ops);
+            let re: Vec<f64> = x.iter().map(|v| v.re).collect();
+            let (low_re, high_re) = analysis_stage_real(&re, &pair, &mut ops);
+            for m in 0..n / 2 {
+                let (l, h) = (band(pair.h0(), m), band(pair.h1(), m));
+                assert!(low[m].approx_eq(l, 1e-12), "{basis} low {m}");
+                assert!(high[m].approx_eq(h, 1e-12), "{basis} high {m}");
+                assert!((low_re[m] - l.re).abs() < 1e-12, "{basis} real low {m}");
+                assert!((high_re[m] - h.re).abs() < 1e-12, "{basis} real high {m}");
+            }
+        }
+    }
+
+    #[test]
+    fn analysis_stage_is_orthogonal_for_every_basis() {
+        // Column k of the stage operator is the analysis of the unit
+        // vector e_k; the operator is orthogonal iff those columns are
+        // orthonormal.
+        let n = 32;
+        for basis in WaveletBasis::ALL {
+            let pair = FilterPair::new(basis);
+            let columns: Vec<Vec<Cx>> = (0..n)
+                .map(|k| {
+                    let mut e = vec![Cx::ZERO; n];
+                    e[k] = Cx::real(1.0);
+                    let (low, high) = analysis_stage(&e, &pair, &mut OpCount::default());
+                    low.into_iter().chain(high).collect()
+                })
+                .collect();
+            for (i, a) in columns.iter().enumerate() {
+                for (j, b) in columns.iter().enumerate() {
+                    let dot: f64 = a.iter().zip(b).map(|(p, q)| p.re * q.re).sum();
+                    let expect = if i == j { 1.0 } else { 0.0 };
+                    assert!(
+                        (dot - expect).abs() < 1e-10,
+                        "{basis}: <e{i}, e{j}> = {dot}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn haar_costs_fewer_ops_than_db2() {
         let x = ramp_cx(256);
         let mut ops_haar = OpCount::default();

@@ -2,25 +2,31 @@
 //!
 //! Orthonormal wavelet machinery for the DATE 2014 HRV-PSA reproduction:
 //! conjugate-quadrature filter banks ([`WaveletBasis`], [`FilterPair`]),
-//! circular single-stage DWT analysis/synthesis, multilevel decomposition
+//! circular single-stage DWT analysis/synthesis ([`analysis_stage`],
+//! [`analysis_into`], [`synthesis_stage`]), multilevel decomposition
 //! ([`Decomposition`]) and the full binary wavelet-packet tree
-//! ([`wavelet_packet`]) that underlies the paper's wavelet-based FFT.
+//! ([`wavelet_packet`]). The single stage is the building block of the
+//! paper's wavelet-based FFT in `hrv-wfft`.
 //!
 //! The analysis convention — `zL[m] = Σ_j h0[j]·x[(2m−j) mod N]`, circular,
-//! orthonormal — is pinned by dense-matrix tests in `matrix.rs` and shared
-//! verbatim with `hrv-wfft`, whose exactness proofs depend on it.
+//! orthonormal — is pinned by tests in `dwt.rs` and shared verbatim with
+//! `hrv-wfft`, whose exactness proofs depend on it.
 //!
 //! # Examples
 //!
 //! ```
-//! use hrv_wavelet::{Decomposition, WaveletBasis};
-//! use hrv_dsp::OpCount;
+//! use hrv_dsp::{Cx, OpCount};
+//! use hrv_wavelet::{analysis_stage, FilterPair, WaveletBasis};
 //!
-//! // RR-like smooth data are approximately sparse in the wavelet domain:
-//! let rr: Vec<f64> = (0..256).map(|i| 0.8 + 0.05 * (i as f64 * 0.1).sin()).collect();
+//! // RR-like smooth data put almost all their energy in the lowpass band:
+//! let rr: Vec<Cx> = (0..256)
+//!     .map(|i| Cx::real(0.8 + 0.05 * (i as f64 * 0.1).sin()))
+//!     .collect();
+//! let filters = FilterPair::new(WaveletBasis::Haar);
 //! let mut ops = OpCount::default();
-//! let dec = Decomposition::analyze(&rr, WaveletBasis::Haar, 1, &mut ops);
-//! assert!(dec.approximation_energy_fraction() > 0.99);
+//! let (low, high) = analysis_stage(&rr, &filters, &mut ops);
+//! let energy = |band: &[Cx]| band.iter().map(|z| z.norm_sqr()).sum::<f64>();
+//! assert!(energy(&low) > 0.99 * (energy(&low) + energy(&high)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -28,7 +34,6 @@
 
 mod basis;
 mod dwt;
-mod matrix;
 mod multilevel;
 mod packet;
 
@@ -37,6 +42,5 @@ pub use dwt::{
     analysis_into, analysis_lowpass, analysis_stage, analysis_stage_real, synthesis_stage,
     synthesis_stage_real,
 };
-pub use matrix::{analysis_matrix, mat_vec, orthogonality_defect};
 pub use multilevel::Decomposition;
 pub use packet::{packet_energy, wavelet_packet};
