@@ -36,23 +36,6 @@ pub fn arrhythmia_cohort(n: usize, seconds: f64) -> Vec<RrSeries> {
         .collect()
 }
 
-/// A mixed cohort for detection studies.
-pub fn mixed_cohort(n_each: usize, seconds: f64) -> Vec<(Condition, RrSeries)> {
-    let db = SyntheticDatabase::new(SEED);
-    let mut records = Vec::new();
-    for i in 0..n_each {
-        records.push((
-            Condition::SinusArrhythmia,
-            db.record(i, Condition::SinusArrhythmia, seconds).rr,
-        ));
-        records.push((
-            Condition::Healthy,
-            db.record(i, Condition::Healthy, seconds).rr,
-        ));
-    }
-    records
-}
-
 /// Renders a unicode bar of `value/max` scaled to `width` characters.
 pub fn bar(value: f64, max: f64, width: usize) -> String {
     let filled = if max > 0.0 {
@@ -130,8 +113,6 @@ mod tests {
         let b = arrhythmia_cohort(3, 200.0);
         assert_eq!(a.len(), 3);
         assert_eq!(a[0], b[0]);
-        let mixed = mixed_cohort(2, 200.0);
-        assert_eq!(mixed.len(), 4);
     }
 
     #[test]

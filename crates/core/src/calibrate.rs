@@ -7,9 +7,10 @@
 
 use crate::config::PsaConfig;
 use crate::error::PsaError;
+use crate::exec::SpectralPlan;
 use hrv_dsp::{Cx, OpCount};
 use hrv_ecg::RrSeries;
-use hrv_lomb::FastLomb;
+use hrv_lomb::MIN_WINDOW_SAMPLES;
 use hrv_wavelet::{analysis_stage, FilterPair, WaveletBasis};
 
 /// Extracts the packed complex FFT-input meshes (one per analysis window)
@@ -18,15 +19,13 @@ use hrv_wavelet::{analysis_stage, FilterPair, WaveletBasis};
 ///
 /// # Errors
 ///
-/// Returns [`PsaError::TooFewSamples`] when no window in the cohort has
-/// enough RR samples.
+/// Returns [`PsaError::InvalidConfig`] for invalid parameters, and
+/// [`PsaError::TooFewSamples`] when no window in the cohort has enough RR
+/// samples.
 pub fn training_meshes(config: &PsaConfig, cohort: &[RrSeries]) -> Result<Vec<Vec<Cx>>, PsaError> {
-    let mut estimator = FastLomb::new(config.fft_len, config.ofac)
-        .with_window(config.window)
+    let estimator = SpectralPlan::new(config.clone())?
+        .estimator()
         .with_span(config.window_duration);
-    if config.mesh == hrv_lomb::MeshStrategy::Resample {
-        estimator = estimator.with_resampled_mesh();
-    }
     let hop = config.window_duration * (1.0 - config.overlap);
     let mut meshes = Vec::new();
     for rr in cohort {
@@ -34,7 +33,7 @@ pub fn training_meshes(config: &PsaConfig, cohort: &[RrSeries]) -> Result<Vec<Ve
         let mut start = rr.times().first().copied().unwrap_or(0.0);
         while start + config.window_duration <= t_end {
             if let Some(win) = rr.window(start, config.window_duration) {
-                if win.len() >= 16 && win.sdnn() > 0.0 {
+                if win.len() >= MIN_WINDOW_SAMPLES && win.sdnn() > 0.0 {
                     let rel_times: Vec<f64> = win.times().iter().map(|&t| t - start).collect();
                     meshes.push(estimator.packed_mesh(&rel_times, win.intervals()));
                 }
@@ -43,7 +42,10 @@ pub fn training_meshes(config: &PsaConfig, cohort: &[RrSeries]) -> Result<Vec<Ve
         }
     }
     if meshes.is_empty() {
-        Err(PsaError::TooFewSamples { got: 0, need: 16 })
+        Err(PsaError::TooFewSamples {
+            got: 0,
+            need: MIN_WINDOW_SAMPLES,
+        })
     } else {
         Ok(meshes)
     }

@@ -170,14 +170,23 @@ impl PsaConfig {
     /// # Errors
     ///
     /// Returns [`PsaError::InvalidConfig`] for non-power-of-two FFT
-    /// lengths, `ofac < 1`, non-positive durations, out-of-range overlap
-    /// or non-positive `max_freq`.
+    /// lengths, an extirpolation order outside `1..=fft_len`, `ofac < 1`,
+    /// non-positive durations, out-of-range overlap or non-positive
+    /// `max_freq`.
     pub fn validate(&self) -> Result<(), PsaError> {
         if !hrv_dsp::is_power_of_two(self.fft_len) || self.fft_len < 8 {
             return Err(PsaError::InvalidConfig(format!(
                 "fft_len must be a power of two ≥ 8, got {}",
                 self.fft_len
             )));
+        }
+        if let MeshStrategy::Extirpolate { order } = self.mesh {
+            if !(1..=self.fft_len).contains(&order) {
+                return Err(PsaError::InvalidConfig(format!(
+                    "extirpolation order must be in 1..={}, got {order}",
+                    self.fft_len
+                )));
+            }
         }
         if self.ofac < 1.0 {
             return Err(PsaError::InvalidConfig(format!(

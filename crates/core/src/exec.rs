@@ -245,16 +245,17 @@ impl SpectralPlan {
             )
     }
 
-    /// The Fast-Lomb estimator this plan implies — the single place the
-    /// config→estimator wiring lives for both batch and streaming.
+    /// The Fast-Lomb estimator this plan implies. Batch, streaming, the
+    /// cost probe and the calibration pass ([`crate::training_meshes`])
+    /// all build through this one config→estimator mapping.
     pub fn estimator(&self) -> FastLomb {
-        let mut estimator = FastLomb::new(self.config.fft_len, self.config.ofac)
+        let estimator = FastLomb::new(self.config.fft_len, self.config.ofac)
             .with_window(self.config.window)
             .with_max_freq(self.config.max_freq);
-        if self.config.mesh == MeshStrategy::Resample {
-            estimator = estimator.with_resampled_mesh();
+        match self.config.mesh {
+            MeshStrategy::Extirpolate { order } => estimator.with_order(order),
+            MeshStrategy::Resample => estimator.with_resampled_mesh(),
         }
-        estimator
     }
 
     /// The kernel the base configuration stands for.
@@ -373,8 +374,6 @@ fn probe_window(duration: f64) -> (Vec<f64>, Vec<f64>) {
 #[derive(Debug)]
 struct ProfileData {
     hop_s: f64,
-    window_duration: f64,
-    probe_samples: usize,
     /// The window routine, planned as the streaming engine plans it.
     lomb: LombFft,
     /// The probe window's meshes and statistics.
@@ -400,8 +399,6 @@ impl ProfileData {
             .expect("the routine records its FFT");
         ProfileData {
             hop_s: config.window_duration * (1.0 - config.overlap),
-            window_duration: config.window_duration,
-            probe_samples: times.len(),
             base_ops: window_ops.saturating_sub(fft_ops),
             lomb,
             probe,
@@ -425,7 +422,7 @@ impl ProfileData {
 ///   ([`CostProfile::predict`]), measured by running the kernel once on
 ///   the plan's probe meshes, so budget policies can rank
 ///   [`CandidatePoint`]s before any live sample arrives
-///   ([`CostProfile::candidate`]).
+///   ([`CostProfile::ladder`]).
 ///
 /// # Examples
 ///
@@ -517,51 +514,6 @@ impl CostProfile {
         self.data.base_ops + fft_ops
     }
 
-    /// The DVFS operating point a choice runs at: nominal without VFS;
-    /// with VFS, the pruning slack `predicted/exact` cycles converted to
-    /// a discrete ladder point (paper §VI.B).
-    pub fn operating_point(
-        &self,
-        predicted: &OpCount,
-        exact_predicted: &OpCount,
-        vfs: bool,
-    ) -> OperatingPoint {
-        if !vfs {
-            return self.node.dvfs.nominal();
-        }
-        let ratio = self.cycles(predicted) as f64 / self.cycles(exact_predicted).max(1) as f64;
-        self.node
-            .dvfs
-            .discrete_opp_for_slack(ratio.clamp(1e-3, 1.0))
-    }
-
-    /// Builds a budget-policy [`CandidatePoint`] for `choice`: predicted
-    /// per-window ops under its kernel, the DVFS point its VFS flag
-    /// implies, and the per-window energy at that point. Note that under
-    /// the paper's resampled front end the streaming exact fast path
-    /// undercuts every pruned kernel, so VFS choices earn no slack there
-    /// (ratio clamps to 1 → nominal); use [`CostProfile::ladder`] for the
-    /// full budget candidate set.
-    pub fn candidate(
-        &self,
-        choice: Option<OperatingChoice>,
-        spec: KernelSpec,
-        backend: &dyn FftBackend,
-        exact_spec: KernelSpec,
-        exact_backend: &dyn FftBackend,
-    ) -> CandidatePoint {
-        let predicted = self.predict(spec, backend);
-        let exact_predicted = self.predict(exact_spec, exact_backend);
-        let vfs = choice.is_some_and(|c| c.vfs);
-        let opp = self.operating_point(&predicted, &exact_predicted, vfs);
-        CandidatePoint {
-            choice,
-            expected_error_pct: choice.map_or(0.0, |c| c.expected_error_pct),
-            predicted_energy_j: self.window_energy(&predicted, &opp),
-            opp,
-        }
-    }
-
     /// The budget candidate **ladder** of one choice: one
     /// [`CandidatePoint`] per discrete DVFS voltage that still meets the
     /// real-time deadline (the window's cycles must fit one hop —
@@ -592,17 +544,6 @@ impl CostProfile {
                 opp,
             })
             .collect()
-    }
-
-    /// The probe window's sample count and prepare-stage variance —
-    /// exposed so tests can sanity-check the probe against a live window.
-    pub fn probe_stats(&self) -> (usize, f64) {
-        (self.data.probe_samples, self.data.probe.variance())
-    }
-
-    /// The analysis window duration in seconds.
-    pub fn window_duration_s(&self) -> f64 {
-        self.data.window_duration
     }
 }
 
@@ -743,17 +684,6 @@ impl KernelCache {
     /// Number of lookups served from the cache without construction.
     pub fn hits(&self) -> u64 {
         self.inner.hits.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups served without construction (0 when idle).
-    pub fn hit_rate(&self) -> f64 {
-        let hits = self.hits();
-        let total = hits + self.builds();
-        if total == 0 {
-            0.0
-        } else {
-            hits as f64 / total as f64
-        }
     }
 
     /// Number of distinct kernels currently cached.
@@ -932,7 +862,7 @@ mod tests {
         }
         assert_eq!(cache.builds(), 3, "warm lookups must not build");
         assert!(cache.hits() >= 31);
-        assert!(cache.hit_rate() > 0.9);
+        assert!(cache.hits() > 9 * cache.builds(), "hit rate above 90%");
         assert_eq!(cache.len(), 3);
         assert!(!cache.is_empty());
     }
@@ -1045,6 +975,30 @@ mod tests {
     }
 
     #[test]
+    fn configured_extirpolation_order_reaches_the_estimator() {
+        let config = |order| PsaConfig {
+            mesh: MeshStrategy::Extirpolate { order },
+            ..PsaConfig::conventional()
+        };
+        let plan = SpectralPlan::new(config(2)).expect("valid");
+        assert_eq!(
+            plan.estimator().mesh_strategy(),
+            MeshStrategy::Extirpolate { order: 2 }
+        );
+        // The calibration pass runs the same estimator, so its meshes
+        // depend on the order too.
+        let order2 = TrainingSet::from_cohort(&config(2), &cohort(1)).expect("meshes");
+        let order4 = TrainingSet::from_cohort(&config(4), &cohort(1)).expect("meshes");
+        assert_ne!(order2.fingerprint(), order4.fingerprint());
+        for order in [0, 513] {
+            assert!(matches!(
+                SpectralPlan::new(config(order)),
+                Err(PsaError::InvalidConfig(_))
+            ));
+        }
+    }
+
+    #[test]
     fn publish_mirrors_cache_counters_into_telemetry() {
         let plan = SpectralPlan::new(PsaConfig::conventional()).expect("valid");
         let cache = KernelCache::new();
@@ -1142,10 +1096,13 @@ mod tests {
         );
         // Second prediction is a memo hit returning the same tally.
         assert_eq!(pruned_ops, profile.predict(pruned_spec, pruned.as_ref()));
-        let (samples, var) = profile.probe_stats();
-        assert!(samples > 100, "2-minute probe at ~70 bpm");
-        assert!(var > 0.0);
-        assert!((profile.window_duration_s() - 120.0).abs() < 1e-12);
+        // The probe the profile ran spans one 2-minute window.
+        assert!(
+            probe_window(120.0).0.len() > 100,
+            "2-minute probe at ~70 bpm"
+        );
+        assert!(profile.data.probe.variance() > 0.0);
+        assert!((profile.hop_s() - 120.0 * 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -1177,15 +1134,6 @@ mod tests {
             pruned_ops.arithmetic(),
             exact_ops.arithmetic()
         );
-        // ...which earns the VFS choice a scaled operating point.
-        let candidate = profile.candidate(
-            Some(pruned_choice),
-            pruned_spec,
-            pruned.as_ref(),
-            exact_spec,
-            exact.as_ref(),
-        );
-        assert!(candidate.opp.voltage < 1.0, "earned slack scales the rail");
     }
 
     #[test]

@@ -163,6 +163,10 @@ pub trait QualityGovernor: fmt::Debug + Send {
 
 // ---- the distortion policy (paper Fig. 2) ---------------------------------
 
+/// Fraction of `Q_DES` the distortion estimate must decay below before a
+/// [`DistortionGovernor`] leaves the exact fallback.
+const REENTRY_FRACTION: f64 = 0.6;
+
 /// The `Q_DES`-chasing policy: re-evaluates the design-time selection per
 /// window against a rolling audit-fed distortion estimate. Two mechanisms
 /// keep the configuration from thrashing:
@@ -172,7 +176,7 @@ pub trait QualityGovernor: fmt::Debug + Send {
 /// * a **hysteresis band** around the exact-fallback decision — once the
 ///   estimate exceeds `Q_DES` the governor drops to the exact kernel and
 ///   only re-enters approximation after the estimate decays below
-///   `reentry · Q_DES`.
+///   `0.6 · Q_DES`.
 ///
 /// Observed distortion also *tightens* the budget: the governor tracks
 /// the ratio of observed to expected error for the running configuration
@@ -189,7 +193,6 @@ pub struct DistortionGovernor {
     audit_period: u64,
     dwell: usize,
     alpha: f64,
-    reentry: f64,
     current: Option<OperatingChoice>,
     pending: Option<Option<OperatingChoice>>,
     pending_streak: usize,
@@ -225,7 +228,6 @@ impl DistortionGovernor {
             audit_period: 8,
             dwell: 3,
             alpha: 0.25,
-            reentry: 0.6,
             current,
             pending: None,
             pending_streak: 0,
@@ -282,18 +284,6 @@ impl DistortionGovernor {
         self
     }
 
-    /// Fraction of `Q_DES` the estimate must decay below before leaving
-    /// the exact fallback (default 0.6).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < reentry < 1`.
-    pub fn with_reentry_fraction(mut self, reentry: f64) -> Self {
-        assert!(reentry > 0.0 && reentry < 1.0, "reentry must be in (0, 1)");
-        self.reentry = reentry;
-        self
-    }
-
     /// The distortion budget in percent.
     pub fn qdes_pct(&self) -> f64 {
         self.qdes_pct
@@ -304,7 +294,7 @@ impl DistortionGovernor {
     fn target(&mut self) -> Option<OperatingChoice> {
         if self.err_ewma_pct > self.qdes_pct {
             self.forced_exact = true;
-        } else if self.forced_exact && self.err_ewma_pct <= self.reentry * self.qdes_pct {
+        } else if self.forced_exact && self.err_ewma_pct <= REENTRY_FRACTION * self.qdes_pct {
             self.forced_exact = false;
         }
         if self.forced_exact {
@@ -425,9 +415,7 @@ pub struct CandidatePoint {
     /// [`crate::CostProfile::predict`] operations converted at `opp`.
     pub predicted_energy_j: f64,
     /// The DVFS operating point this candidate runs at: one rung of
-    /// [`crate::CostProfile::ladder`], or, from
-    /// [`crate::CostProfile::candidate`], nominal unless the choice
-    /// converts pruning slack via VFS.
+    /// [`crate::CostProfile::ladder`].
     pub opp: OperatingPoint,
 }
 

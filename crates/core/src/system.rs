@@ -5,7 +5,7 @@ use crate::error::PsaError;
 use crate::exec::{KernelCache, SpectralPlan};
 use hrv_dsp::{BlockOps, FftBackend, OpCount};
 use hrv_ecg::RrSeries;
-use hrv_lomb::{ArrhythmiaDetector, BandPowers, WelchAnalysis, WelchLomb};
+use hrv_lomb::{ArrhythmiaDetector, BandPowers, WelchAnalysis, WelchLomb, MIN_WINDOW_SAMPLES};
 use std::sync::Arc;
 
 /// Result of analysing one RR recording.
@@ -56,7 +56,6 @@ pub struct PsaSystem {
     config: PsaConfig,
     backend: Arc<dyn FftBackend>,
     welch: WelchLomb,
-    detector: ArrhythmiaDetector,
 }
 
 impl PsaSystem {
@@ -113,7 +112,6 @@ impl PsaSystem {
             config: plan.config().clone(),
             backend,
             welch,
-            detector: ArrhythmiaDetector::default(),
         })
     }
 
@@ -126,12 +124,6 @@ impl PsaSystem {
     /// `"wfft-haar+banddrop+prune60%"`).
     pub fn backend_name(&self) -> &str {
         self.backend.name()
-    }
-
-    /// Overrides the arrhythmia decision threshold (default 1.0).
-    pub fn with_detector(mut self, detector: ArrhythmiaDetector) -> Self {
-        self.detector = detector;
-        self
     }
 
     /// Analyses one RR recording.
@@ -150,10 +142,10 @@ impl PsaSystem {
                 need: self.config.window_duration,
             });
         }
-        if rr.len() < 16 {
+        if rr.len() < MIN_WINDOW_SAMPLES {
             return Err(PsaError::TooFewSamples {
                 got: rr.len(),
-                need: 16,
+                need: MIN_WINDOW_SAMPLES,
             });
         }
         // Sub-nanosecond variability is numerically constant (a perfectly
@@ -175,7 +167,7 @@ impl PsaSystem {
             .iter()
             .map(|seg| (seg.start, BandPowers::of(&seg.periodogram)))
             .collect();
-        let arrhythmia = self.detector.detect(&powers);
+        let arrhythmia = ArrhythmiaDetector::default().detect(&powers);
         Ok(HrvAnalysis {
             welch,
             powers,

@@ -88,13 +88,6 @@ impl SyntheticDatabase {
         }
         records
     }
-
-    /// The paper's §VI.A evaluation cohort: 16 sinus-arrhythmia patients.
-    pub fn paper_cohort(&self, duration: f64) -> Vec<PatientRecord> {
-        (0..16)
-            .map(|id| self.record(id, Condition::SinusArrhythmia, duration))
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -147,15 +140,5 @@ mod tests {
             .all(|r| r.profile.condition == Condition::Healthy));
         let ids: Vec<usize> = cohort.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn paper_cohort_is_sixteen_arrhythmia_patients() {
-        let db = SyntheticDatabase::new(2014);
-        let cohort = db.paper_cohort(130.0);
-        assert_eq!(cohort.len(), 16);
-        assert!(cohort
-            .iter()
-            .all(|r| r.profile.condition == Condition::SinusArrhythmia));
     }
 }

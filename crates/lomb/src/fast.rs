@@ -126,7 +126,6 @@ pub enum MeshStrategy {
 pub struct FastLomb {
     fft_len: usize,
     ofac: f64,
-    order: usize,
     mesh: MeshStrategy,
     window: Window,
     span_override: Option<f64>,
@@ -149,7 +148,6 @@ impl FastLomb {
         FastLomb {
             fft_len,
             ofac,
-            order: DEFAULT_ORDER,
             mesh: MeshStrategy::Extirpolate {
                 order: DEFAULT_ORDER,
             },
@@ -173,7 +171,8 @@ impl FastLomb {
         self.mesh
     }
 
-    /// Sets the extirpolation order (default 4).
+    /// Sets the extirpolation order (default 4); no effect on the
+    /// resampled mesh.
     ///
     /// # Panics
     ///
@@ -183,7 +182,6 @@ impl FastLomb {
             order >= 1 && order <= self.fft_len,
             "invalid extirpolation order {order}"
         );
-        self.order = order;
         if let MeshStrategy::Extirpolate { .. } = self.mesh {
             self.mesh = MeshStrategy::Extirpolate { order };
         }

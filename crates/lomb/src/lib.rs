@@ -56,4 +56,4 @@ pub use extirpolate::{extirpolate, DEFAULT_ORDER};
 pub use fast::{blocks, FastLomb, MeshScratch, MeshStrategy};
 pub use periodogram::Periodogram;
 pub use transform::{LombFft, LombScratch, LombSpectrum};
-pub use welch::{Segment, WelchAnalysis, WelchLomb};
+pub use welch::{Segment, WelchAnalysis, WelchLomb, MIN_WINDOW_SAMPLES};

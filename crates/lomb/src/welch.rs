@@ -9,13 +9,17 @@ use crate::fast::FastLomb;
 use crate::periodogram::Periodogram;
 use hrv_dsp::{sample_variance, BlockOps, FftBackend, OpCount};
 
+/// Fewest RR samples a window must hold to be analysed; sparser windows
+/// are skipped. The one skip rule batch ([`WelchLomb`]) and streaming
+/// analysis share, so both skip the same windows.
+pub const MIN_WINDOW_SAMPLES: usize = 16;
+
 /// Configuration of the sliding-window analysis.
 #[derive(Clone, Debug)]
 pub struct WelchLomb {
     estimator: FastLomb,
     window_duration: f64,
     overlap: f64,
-    min_samples: usize,
 }
 
 /// One analysed segment: start time, de-normalised spectrum, sample count.
@@ -67,21 +71,12 @@ impl WelchLomb {
             estimator: estimator.with_span(window_duration),
             window_duration,
             overlap,
-            min_samples: 16,
         }
     }
 
     /// Paper configuration: 2-minute windows, 50 % overlap.
     pub fn paper_default(estimator: FastLomb) -> Self {
         Self::new(estimator, 120.0, 0.5)
-    }
-
-    /// Minimum number of RR samples for a segment to be analysed
-    /// (default 16); sparser segments are skipped.
-    pub fn with_min_samples(mut self, min_samples: usize) -> Self {
-        assert!(min_samples >= 3, "need at least 3 samples per segment");
-        self.min_samples = min_samples;
-        self
     }
 
     /// Window duration in seconds.
@@ -97,11 +92,6 @@ impl WelchLomb {
     /// Hop between consecutive window starts in seconds.
     pub fn hop(&self) -> f64 {
         self.window_duration * (1.0 - self.overlap)
-    }
-
-    /// Minimum number of RR samples for a segment to be analysed.
-    pub fn min_samples(&self) -> usize {
-        self.min_samples
     }
 
     /// The per-segment Fast-Lomb estimator (span already fixed to the
@@ -157,7 +147,7 @@ impl WelchLomb {
         while start + self.window_duration <= t_end + 1e-9 {
             let lo = times.partition_point(|&t| t < start);
             let hi = times.partition_point(|&t| t < start + self.window_duration);
-            if hi - lo >= self.min_samples {
+            if hi - lo >= MIN_WINDOW_SAMPLES {
                 let seg_times: Vec<f64> = times[lo..hi].iter().map(|&t| t - start).collect();
                 let seg_values = &values[lo..hi];
                 if sample_variance(seg_values) > 0.0 && seg_times.last() > seg_times.first() {
@@ -179,8 +169,7 @@ impl WelchLomb {
         }
         assert!(
             !segments.is_empty(),
-            "no segment had at least {} samples",
-            self.min_samples
+            "no segment had at least {MIN_WINDOW_SAMPLES} samples"
         );
 
         let nbins = segments

@@ -547,7 +547,6 @@ pub struct FleetScheduler {
     plan: SpectralPlan,
     cache: KernelCache,
     fleet: FleetConfig,
-    node: NodeModel,
     /// The shared `OpCount`→joules conversion and per-kernel cost
     /// predictor (memoized in `cache` per plan) — the single place fleet
     /// energy math lives.
@@ -1066,13 +1065,11 @@ impl FleetScheduler {
         }
         let cache = KernelCache::new();
         let prototype = SlidingLomb::from_plan(&plan, &cache)?;
-        let node = NodeModel::default();
-        let profile = cache.cost_profile(&plan, &node);
+        let profile = cache.cost_profile(&plan, &NodeModel::default());
         Ok(FleetScheduler {
             plan,
             cache,
             fleet,
-            node,
             profile,
             shards: (0..workers).map(|_| Shard::default()).collect(),
             cohort: Vec::new(),
@@ -1133,7 +1130,7 @@ impl FleetScheduler {
                 slot.insert(PatientStream::new(
                     id,
                     self.prototype.clone(),
-                    self.node.dvfs.nominal(),
+                    self.profile.node().dvfs.nominal(),
                 ));
                 Ok(())
             }
@@ -1326,7 +1323,7 @@ impl FleetScheduler {
         }
         let training = Arc::new(TrainingSet::from_cohort(self.plan.config(), cohort)?);
         self.plan = self.plan.with_training(training);
-        self.profile = self.cache.cost_profile(&self.plan, &self.node);
+        self.profile = self.cache.cost_profile(&self.plan, self.profile.node());
         Ok(self)
     }
 
@@ -1348,7 +1345,7 @@ impl FleetScheduler {
         let runnable: Vec<OperatingChoice> = shared.iter().map(|(c, _)| *c).collect();
         let inner = inner.retain_choices(|c| runnable.contains(c));
         let exact = self.cache.exact(self.plan.fft_len());
-        let nominal = self.node.dvfs.nominal();
+        let nominal = self.profile.node().dvfs.nominal();
         for patient in self.patients_mut() {
             let governor =
                 DistortionGovernor::new(inner.clone(), qdes_pct).with_operating_point(nominal);
@@ -1507,23 +1504,6 @@ impl FleetScheduler {
             battery: patient.battery_status(),
             backend: patient.engine.active_backend().name().to_string(),
         })
-    }
-
-    /// Overrides the node model used for the energy report (and for all
-    /// later per-window energy charging — call it before attaching
-    /// governors, whose candidate predictions are costed at attach time).
-    /// Ungoverned streams are re-pinned to the new model's nominal
-    /// operating point.
-    pub fn with_node_model(mut self, node: NodeModel) -> Self {
-        self.profile = self.cache.cost_profile(&self.plan, &node);
-        let nominal = node.dvfs.nominal();
-        for patient in self.patients_mut() {
-            if patient.governor.is_none() {
-                patient.opp = nominal;
-            }
-        }
-        self.node = node;
-        self
     }
 
     /// Wires latency histograms and span tracing into the fleet's window

@@ -29,7 +29,7 @@
 use crate::scratch::StreamScratch;
 use hrv_core::{KernelCache, PsaConfig, PsaError, SpectralPlan};
 use hrv_dsp::{sample_variance, BlockOps, FftBackend, OpCount, SplitRadixFft};
-use hrv_lomb::{band_powers, BandPowers, FastLomb, LombFft, Periodogram};
+use hrv_lomb::{band_powers, BandPowers, FastLomb, LombFft, Periodogram, MIN_WINDOW_SAMPLES};
 use std::collections::VecDeque;
 use std::sync::Arc;
 
@@ -64,12 +64,6 @@ impl WindowView<'_> {
     pub fn lf_hf_ratio(&self) -> f64 {
         self.powers.lf_hf_ratio()
     }
-
-    /// Copies the spectrum into an owned [`Periodogram`] (allocates; tests
-    /// and offline consumers only).
-    pub fn to_periodogram(&self) -> Periodogram {
-        Periodogram::new(self.freqs.to_vec(), self.power.to_vec())
-    }
 }
 
 /// Streaming Welch–Lomb analysis engine. See the module docs.
@@ -96,7 +90,6 @@ impl WindowView<'_> {
 pub struct SlidingLomb {
     window_duration: f64,
     overlap: f64,
-    min_samples: usize,
     backends: Vec<Arc<dyn FftBackend>>,
     active: usize,
     /// The Fast-Lomb window routine (estimator, FFT plan and weight
@@ -162,7 +155,6 @@ impl SlidingLomb {
             lomb: Arc::new(LombFft::new(estimator)),
             window_duration,
             overlap,
-            min_samples: 16,
             backends: vec![backend],
             active: 0,
             exact,
@@ -225,18 +217,6 @@ impl SlidingLomb {
             backend,
             exact,
         ))
-    }
-
-    /// Minimum samples for a window to be analysed (default 16, matching
-    /// batch Welch–Lomb).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_samples < 3`.
-    pub fn with_min_samples(mut self, min_samples: usize) -> Self {
-        assert!(min_samples >= 3, "need at least 3 samples per segment");
-        self.min_samples = min_samples;
-        self
     }
 
     /// Registers an additional kernel (e.g. a pruned configuration the
@@ -431,7 +411,7 @@ impl SlidingLomb {
             scratch.seg_values.push(v);
         }
         let samples = scratch.seg_values.len();
-        if samples < self.min_samples {
+        if samples < MIN_WINDOW_SAMPLES {
             return false;
         }
         let seg_var = sample_variance(&scratch.seg_values);

@@ -30,27 +30,14 @@ pub fn analysis_stage(x: &[Cx], filters: &FilterPair, ops: &mut OpCount) -> (Vec
     (low, high)
 }
 
-/// Lowpass-only circular analysis of complex data.
-///
-/// This is the band-drop kernel of the paper's eq. (7): when the highpass
-/// band is pruned, the detail computations are skipped entirely, so the
-/// stage costs half the operations of [`analysis_stage`].
-///
-/// # Panics
-///
-/// Panics if `x.len()` is odd or zero.
-pub fn analysis_lowpass(x: &[Cx], filters: &FilterPair, ops: &mut OpCount) -> Vec<Cx> {
-    let mut low = vec![Cx::ZERO; x.len() / 2];
-    analysis_into(x, filters, &mut low, None, ops);
-    low
-}
-
 /// Circular single-stage analysis of complex data into caller-owned
 /// halves: the lowpass band always, the highpass band when `high` is
-/// given (`None` is the band-drop kernel, at half the cost).
+/// given (`None` is the band-drop kernel of the paper's eq. (7): the
+/// detail computations are skipped, so the stage costs half the
+/// operations).
 ///
-/// The allocation-free form of [`analysis_stage`] / [`analysis_lowpass`],
-/// which wrap it, so all three produce the same bits and op counts.
+/// The allocation-free form of [`analysis_stage`], which wraps it, so
+/// both produce the same bits and op counts.
 /// In-place transforms (`hrv-wfft`) keep one copy of their block in
 /// scratch as `x` and write the bands straight into the block's halves.
 ///
@@ -137,7 +124,7 @@ fn filter_band(x: &[Cx], h: &[f64], out: &mut [Cx]) {
 ///
 /// Identical convention to [`analysis_stage`] but with real arithmetic
 /// (half the operation cost). Used for RR-interval sparsity analysis
-/// (paper Fig. 3) and the multilevel real DWT.
+/// (paper Fig. 3).
 ///
 /// # Panics
 ///
@@ -436,7 +423,8 @@ mod tests {
             let mut ops_full = OpCount::default();
             let mut ops_low = OpCount::default();
             let (low_full, _) = analysis_stage(&x, &pair, &mut ops_full);
-            let low_only = analysis_lowpass(&x, &pair, &mut ops_low);
+            let mut low_only = vec![Cx::ZERO; x.len() / 2];
+            analysis_into(&x, &pair, &mut low_only, None, &mut ops_low);
             for (a, b) in low_full.iter().zip(&low_only) {
                 assert!(a.approx_eq(*b, 1e-12), "{basis}");
             }

@@ -3,10 +3,8 @@
 //! Orthonormal wavelet machinery for the DATE 2014 HRV-PSA reproduction:
 //! conjugate-quadrature filter banks ([`WaveletBasis`], [`FilterPair`]),
 //! circular single-stage DWT analysis/synthesis ([`analysis_stage`],
-//! [`analysis_into`], [`synthesis_stage`]), multilevel decomposition
-//! ([`Decomposition`]) and the full binary wavelet-packet tree
-//! ([`wavelet_packet`]). The single stage is the building block of the
-//! paper's wavelet-based FFT in `hrv-wfft`.
+//! [`analysis_into`], [`synthesis_stage`]). The single stage is the
+//! building block of the paper's wavelet-based FFT in `hrv-wfft`.
 //!
 //! The analysis convention — `zL[m] = Σ_j h0[j]·x[(2m−j) mod N]`, circular,
 //! orthonormal — is pinned by tests in `dwt.rs` and shared verbatim with
@@ -34,13 +32,8 @@
 
 mod basis;
 mod dwt;
-mod multilevel;
-mod packet;
 
 pub use basis::{FilterPair, InvalidFilterError, WaveletBasis};
 pub use dwt::{
-    analysis_into, analysis_lowpass, analysis_stage, analysis_stage_real, synthesis_stage,
-    synthesis_stage_real,
+    analysis_into, analysis_stage, analysis_stage_real, synthesis_stage, synthesis_stage_real,
 };
-pub use multilevel::Decomposition;
-pub use packet::{packet_energy, wavelet_packet};

@@ -14,7 +14,7 @@ use hrv_psa::core::{
 };
 use hrv_psa::dsp::{BlockOps, OpCount, SplitRadixFft};
 use hrv_psa::ecg::{Condition, SyntheticDatabase};
-use hrv_psa::lomb::{FastLomb, WelchLomb};
+use hrv_psa::lomb::{FastLomb, WelchLomb, MIN_WINDOW_SAMPLES};
 use hrv_psa::prelude::{FleetConfig, FleetScheduler};
 use hrv_psa::stream::{SlidingLomb, StreamScratch, WindowView};
 use hrv_psa::wavelet::WaveletBasis;
@@ -127,6 +127,58 @@ proptest! {
             for (a, b) in stream.2.iter().zip(reference.periodogram.power()) {
                 prop_assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
             }
+        }
+    }
+}
+
+/// A sensor gap that leaves one window with fewer than
+/// `MIN_WINDOW_SAMPLES` beats: batch and streaming analysis share that
+/// skip rule, so both drop the same window and agree on all the others.
+#[test]
+fn sparse_window_is_skipped_by_batch_and_stream_alike() {
+    let (full_times, full_values) = rr_series(600.0, 0.05, 0.02, 0.25, 7);
+    // Windows start at the first beat and advance by 60 s; keep only the
+    // first and last 4 s of the window starting 180 s in.
+    let sparse = full_times[0] + 180.0;
+    let (times, values): (Vec<f64>, Vec<f64>) = full_times
+        .iter()
+        .zip(&full_values)
+        .filter(|(&t, _)| !(sparse + 4.0..sparse + 116.0).contains(&t))
+        .unzip();
+    let in_window = |start: f64| {
+        times
+            .iter()
+            .filter(|&&t| (start..start + 120.0).contains(&t))
+            .count()
+    };
+    assert!((1..MIN_WINDOW_SAMPLES).contains(&in_window(sparse)));
+    assert!(in_window(sparse - 60.0) >= MIN_WINDOW_SAMPLES);
+    assert!(in_window(sparse + 60.0) >= MIN_WINDOW_SAMPLES);
+
+    let estimator = FastLomb::new(512, 2.0)
+        .with_resampled_mesh()
+        .with_max_freq(0.5);
+    let welch = WelchLomb::new(estimator.clone(), 120.0, 0.5);
+    let batch = welch.process(
+        &SplitRadixFft::new(512),
+        &times,
+        &values,
+        &mut OpCount::default(),
+    );
+    let starts: Vec<f64> = batch.segments().iter().map(|s| s.start).collect();
+    assert!(starts.iter().all(|&s| (s - sparse).abs() > 1e-9));
+    assert!(starts.iter().any(|&s| (s - (sparse - 60.0)).abs() < 1e-9));
+    assert!(starts.iter().any(|&s| (s - (sparse + 60.0)).abs() < 1e-9));
+
+    let mut engine = SlidingLomb::new(estimator, 120.0, 0.5, Arc::new(SplitRadixFft::new(512)));
+    let got = stream_all(&mut engine, &times, &values);
+    assert_eq!(got.len(), batch.segments().len());
+    for (stream, reference) in got.iter().zip(batch.segments()) {
+        assert!((stream.0 - reference.start).abs() < 1e-9);
+        assert_eq!(stream.1, reference.samples);
+        assert_eq!(stream.2.len(), reference.periodogram.len());
+        for (a, b) in stream.2.iter().zip(reference.periodogram.power()) {
+            assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "{a} vs {b}");
         }
     }
 }
