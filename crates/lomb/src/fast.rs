@@ -31,15 +31,16 @@ pub struct MeshScratch {
     taper: Vec<f64>,
     taper_key: Option<(Window, usize)>,
     grid: Vec<f64>,
+    /// Per knot interval: width, reciprocal width, slope, and the Thomas
+    /// `c′`/`d′` of the knot that starts it (entry 0, a boundary knot,
+    /// unused).
+    h: Vec<f64>,
     inv_h: Vec<f64>,
     slope: Vec<f64>,
-    m: Vec<f64>,
     c_prime: Vec<f64>,
     d_prime: Vec<f64>,
-    c0: Vec<f64>,
-    c1: Vec<f64>,
-    c2: Vec<f64>,
-    c3: Vec<f64>,
+    /// Per knot interval: the cubic's `[c0, c1, c2, c3]`.
+    coef: Vec<[f64; 4]>,
 }
 
 impl MeshScratch {
@@ -55,19 +56,16 @@ impl MeshScratch {
             &self.tapered,
             &self.taper,
             &self.grid,
+            &self.h,
             &self.inv_h,
             &self.slope,
-            &self.m,
             &self.c_prime,
             &self.d_prime,
-            &self.c0,
-            &self.c1,
-            &self.c2,
-            &self.c3,
         ]
         .iter()
         .map(|v| v.capacity())
-        .sum()
+        .sum::<usize>()
+            + 4 * self.coef.capacity()
     }
 }
 
@@ -93,8 +91,9 @@ pub enum MeshStrategy {
         /// Lagrange interpolation order (the classic `fasper` uses 4).
         order: usize,
     },
-    /// The paper's front end (Fig. 3(a)): the RR tachogram is linearly
-    /// resampled onto **all** `fft_len` mesh points — for the paper's
+    /// The paper's front end (Fig. 3(a)): the RR tachogram is resampled
+    /// by a natural cubic spline onto **all** `fft_len` mesh points, held
+    /// constant outside the first and last beat — for the paper's
     /// 512-point FFT over 2-minute windows this is the standard ≈4 Hz
     /// HRV resampling. The Lomb weights become uniform, so the weight
     /// spectrum is a DC impulse and the combination reduces to the
@@ -537,83 +536,89 @@ fn spline_resample(
 ) {
     let k = times.len();
     debug_assert!(k >= 3, "caller validates sample count");
-
-    // Per-interval tables: widths, their reciprocals, slopes. One division
-    // per knot interval; the dense evaluation loop is division-free, as an
-    // embedded implementation would arrange it.
-    let inv_h = &mut scratch.inv_h;
-    inv_h.clear();
-    inv_h.resize(k - 1, 0.0);
-    let slope = &mut scratch.slope;
-    slope.clear();
-    slope.resize(k - 1, 0.0);
-    for i in 0..k - 1 {
-        let h = times[i + 1] - times[i];
-        inv_h[i] = 1.0 / h;
-        slope[i] = (values[i + 1] - values[i]) * inv_h[i];
-        ops.add += 2;
-        ops.mul += 1;
-        ops.div += 1;
+    let MeshScratch {
+        grid,
+        h,
+        inv_h,
+        slope,
+        c_prime,
+        d_prime,
+        coef,
+        ..
+    } = scratch;
+    // Every entry below is written before it is read, so a resize only
+    // fills when the knot count grows.
+    for buf in [
+        &mut *h,
+        &mut *inv_h,
+        &mut *slope,
+        &mut *c_prime,
+        &mut *d_prime,
+    ] {
+        buf.resize(k - 1, 0.0);
     }
+    coef.resize(k - 1, [0.0; 4]);
 
-    // Second derivatives M_i of the natural spline (M_0 = M_{k-1} = 0),
-    // via the Thomas algorithm on the tridiagonal system.
-    let m = &mut scratch.m;
-    m.clear();
-    m.resize(k, 0.0);
-    let c_prime = &mut scratch.c_prime;
-    c_prime.clear();
-    c_prime.resize(k, 0.0);
-    let d_prime = &mut scratch.d_prime;
-    d_prime.clear();
-    d_prime.resize(k, 0.0);
-    for i in 1..k - 1 {
-        let h_prev = times[i] - times[i - 1];
+    // Forward sweep. Interval i's width, reciprocal and slope (one
+    // division per interval, so the dense loop is division-free, as an
+    // embedded implementation would arrange it), then the Thomas
+    // elimination of row i of the tridiagonal system for the natural
+    // spline's second derivatives M (M_0 = M_{k-1} = 0), which needs
+    // intervals i−1 and i. Row 0 is the boundary: c′ = d′ = 0.
+    let (mut h_prev, mut slope_prev) = (0.0, 0.0);
+    let (mut c_prev, mut d_prev) = (0.0, 0.0);
+    for i in 0..k - 1 {
         let h_next = times[i + 1] - times[i];
-        let b = 2.0 * (h_prev + h_next);
-        let d = 6.0 * (slope[i] - slope[i - 1]);
-        let inv_denom = 1.0 / (b - h_prev * c_prime[i - 1]);
-        c_prime[i] = h_next * inv_denom;
-        d_prime[i] = (d - h_prev * d_prime[i - 1]) * inv_denom;
-        ops.add += 5;
-        ops.mul += 6;
-        ops.div += 1;
-    }
-    for i in (1..k - 1).rev() {
-        m[i] = d_prime[i] - c_prime[i] * m[i + 1];
-        ops.add += 1;
-        ops.mul += 1;
+        let inv = 1.0 / h_next;
+        let s = (values[i + 1] - values[i]) * inv;
+        if i > 0 {
+            let b = 2.0 * (h_prev + h_next);
+            let d = 6.0 * (s - slope_prev);
+            let inv_denom = 1.0 / (b - h_prev * c_prev);
+            c_prev = h_next * inv_denom;
+            d_prev = (d - h_prev * d_prev) * inv_denom;
+            c_prime[i] = c_prev;
+            d_prime[i] = d_prev;
+        }
+        h[i] = h_next;
+        inv_h[i] = inv;
+        slope[i] = s;
+        h_prev = h_next;
+        slope_prev = s;
     }
 
-    // Per-interval cubic coefficients so the dense loop is a 3-mul/4-add
-    // Horner evaluation: s(u) = ((c3·u + c2)·u + c1)·u + c0, u = t − t_i.
-    let c0 = &mut scratch.c0;
-    c0.clear();
-    c0.resize(k - 1, 0.0);
-    let c1 = &mut scratch.c1;
-    c1.clear();
-    c1.resize(k - 1, 0.0);
-    let c2 = &mut scratch.c2;
-    c2.clear();
-    c2.resize(k - 1, 0.0);
-    let c3 = &mut scratch.c3;
-    c3.clear();
-    c3.resize(k - 1, 0.0);
-    for i in 0..k - 1 {
-        let h = times[i + 1] - times[i];
-        c0[i] = values[i];
-        c1[i] = slope[i] - h * (2.0 * m[i] + m[i + 1]) / 6.0;
-        c2[i] = 0.5 * m[i];
-        c3[i] = (m[i + 1] - m[i]) * inv_h[i] / 6.0;
-        ops.add += 3;
-        ops.mul += 6;
-        ops.store += 4;
+    // Backward sweep: back-substitute M_i, then write interval i's cubic
+    // so the dense loop is a 3-mul/4-add Horner evaluation:
+    // s(u) = ((c3·u + c2)·u + c1)·u + c0, u = t − t_i.
+    let mut m_next = 0.0;
+    for i in (0..k - 1).rev() {
+        let m = if i > 0 {
+            d_prime[i] - c_prime[i] * m_next
+        } else {
+            0.0
+        };
+        coef[i] = [
+            values[i],
+            slope[i] - h[i] * (2.0 * m + m_next) / 6.0,
+            0.5 * m,
+            (m_next - m) * inv_h[i] / 6.0,
+        ];
+        m_next = m;
     }
+    // The solve's tallies, charged in bulk: per interval, 2 add/1 mul/
+    // 1 div for width and slope and 3 add/6 mul/4 stores for its cubic;
+    // per interior row, 5 add/6 mul/1 div to eliminate and 1 add/1 mul
+    // to back-substitute.
+    let (intervals, rows) = ((k - 1) as u64, (k - 2) as u64);
+    ops.add += 5 * intervals + 6 * rows;
+    ops.mul += 7 * intervals + 7 * rows;
+    ops.div += intervals + rows;
+    ops.store += 4 * intervals;
 
     let step = span / (n - 1) as f64;
     let mut seg = 0usize;
-    scratch.grid.clear();
-    scratch.grid.extend((0..n).map(|j| {
+    grid.clear();
+    grid.extend((0..n).map(|j| {
         let t = t0 + step * j as f64;
         ops.add += 1;
         ops.mul += 1;
@@ -633,7 +638,8 @@ fn spline_resample(
         let u = t - times[seg];
         ops.add += 4;
         ops.mul += 3;
-        ((c3[seg] * u + c2[seg]) * u + c1[seg]) * u + c0[seg]
+        let [c0, c1, c2, c3] = coef[seg];
+        ((c3 * u + c2) * u + c1) * u + c0
     }));
 }
 
@@ -881,5 +887,226 @@ mod tests {
     #[should_panic(expected = "power of two")]
     fn bad_fft_len_rejected() {
         let _ = FastLomb::new(500, 2.0);
+    }
+
+    /// Working buffers of [`reference_spline_resample`].
+    #[derive(Default)]
+    struct ReferenceScratch {
+        grid: Vec<f64>,
+        inv_h: Vec<f64>,
+        slope: Vec<f64>,
+        m: Vec<f64>,
+        c_prime: Vec<f64>,
+        d_prime: Vec<f64>,
+        c0: Vec<f64>,
+        c1: Vec<f64>,
+        c2: Vec<f64>,
+        c3: Vec<f64>,
+    }
+
+    /// The four-pass solve (interval tables, Thomas forward sweep,
+    /// back-substitution, coefficient loop) with per-iteration tallies:
+    /// the oracle for [`spline_resample`].
+    fn reference_spline_resample(
+        times: &[f64],
+        values: &[f64],
+        t0: f64,
+        span: f64,
+        n: usize,
+        scratch: &mut ReferenceScratch,
+        ops: &mut OpCount,
+    ) {
+        let k = times.len();
+        debug_assert!(k >= 3, "caller validates sample count");
+
+        // Per-interval tables: widths, their reciprocals, slopes. One division
+        // per knot interval; the dense evaluation loop is division-free, as an
+        // embedded implementation would arrange it.
+        let inv_h = &mut scratch.inv_h;
+        inv_h.clear();
+        inv_h.resize(k - 1, 0.0);
+        let slope = &mut scratch.slope;
+        slope.clear();
+        slope.resize(k - 1, 0.0);
+        for i in 0..k - 1 {
+            let h = times[i + 1] - times[i];
+            inv_h[i] = 1.0 / h;
+            slope[i] = (values[i + 1] - values[i]) * inv_h[i];
+            ops.add += 2;
+            ops.mul += 1;
+            ops.div += 1;
+        }
+
+        // Second derivatives M_i of the natural spline (M_0 = M_{k-1} = 0),
+        // via the Thomas algorithm on the tridiagonal system.
+        let m = &mut scratch.m;
+        m.clear();
+        m.resize(k, 0.0);
+        let c_prime = &mut scratch.c_prime;
+        c_prime.clear();
+        c_prime.resize(k, 0.0);
+        let d_prime = &mut scratch.d_prime;
+        d_prime.clear();
+        d_prime.resize(k, 0.0);
+        for i in 1..k - 1 {
+            let h_prev = times[i] - times[i - 1];
+            let h_next = times[i + 1] - times[i];
+            let b = 2.0 * (h_prev + h_next);
+            let d = 6.0 * (slope[i] - slope[i - 1]);
+            let inv_denom = 1.0 / (b - h_prev * c_prime[i - 1]);
+            c_prime[i] = h_next * inv_denom;
+            d_prime[i] = (d - h_prev * d_prime[i - 1]) * inv_denom;
+            ops.add += 5;
+            ops.mul += 6;
+            ops.div += 1;
+        }
+        for i in (1..k - 1).rev() {
+            m[i] = d_prime[i] - c_prime[i] * m[i + 1];
+            ops.add += 1;
+            ops.mul += 1;
+        }
+
+        // Per-interval cubic coefficients so the dense loop is a 3-mul/4-add
+        // Horner evaluation: s(u) = ((c3·u + c2)·u + c1)·u + c0, u = t − t_i.
+        let c0 = &mut scratch.c0;
+        c0.clear();
+        c0.resize(k - 1, 0.0);
+        let c1 = &mut scratch.c1;
+        c1.clear();
+        c1.resize(k - 1, 0.0);
+        let c2 = &mut scratch.c2;
+        c2.clear();
+        c2.resize(k - 1, 0.0);
+        let c3 = &mut scratch.c3;
+        c3.clear();
+        c3.resize(k - 1, 0.0);
+        for i in 0..k - 1 {
+            let h = times[i + 1] - times[i];
+            c0[i] = values[i];
+            c1[i] = slope[i] - h * (2.0 * m[i] + m[i + 1]) / 6.0;
+            c2[i] = 0.5 * m[i];
+            c3[i] = (m[i + 1] - m[i]) * inv_h[i] / 6.0;
+            ops.add += 3;
+            ops.mul += 6;
+            ops.store += 4;
+        }
+
+        let step = span / (n - 1) as f64;
+        let mut seg = 0usize;
+        scratch.grid.clear();
+        scratch.grid.extend((0..n).map(|j| {
+            let t = t0 + step * j as f64;
+            ops.add += 1;
+            ops.mul += 1;
+            if t <= times[0] {
+                return values[0];
+            }
+            if t >= times[k - 1] {
+                return values[k - 1];
+            }
+            // The query points are monotone: advance the segment cursor
+            // instead of binary-searching (counted as comparisons).
+            while times[seg + 1] < t {
+                seg += 1;
+                ops.cmp += 1;
+            }
+            ops.cmp += 1;
+            let u = t - times[seg];
+            ops.add += 4;
+            ops.mul += 3;
+            ((c3[seg] * u + c2[seg]) * u + c1[seg]) * u + c0[seg]
+        }));
+    }
+
+    /// Runs [`spline_resample`] on `scratch` and the reference on fresh
+    /// buffers, and demands the same grid bit for bit and the same tally
+    /// in every field.
+    fn assert_spline_matches_reference(
+        times: &[f64],
+        values: &[f64],
+        span: f64,
+        n: usize,
+        scratch: &mut MeshScratch,
+    ) {
+        let t0 = times[0];
+        let mut ops = OpCount::default();
+        spline_resample(times, values, t0, span, n, scratch, &mut ops);
+        let (mut reference, mut ref_ops) = (ReferenceScratch::default(), OpCount::default());
+        reference_spline_resample(times, values, t0, span, n, &mut reference, &mut ref_ops);
+        assert_eq!(scratch.grid.len(), n);
+        for (j, (a, b)) in scratch.grid.iter().zip(&reference.grid).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "point {j}: {a} vs {b}");
+        }
+        assert_eq!(ops, ref_ops);
+    }
+
+    #[test]
+    fn spline_solve_tallies_match_the_closed_form() {
+        for k in [3usize, 4, 140] {
+            let times: Vec<f64> = (0..k).map(|i| i as f64 * 0.85).collect();
+            let values = tone(&times, 0.2, 0.05);
+            let span = times[k - 1];
+            // Two mesh points, on the end knots: the evaluation charges
+            // one add and one mul to each and nothing else.
+            let (mut scratch, mut ops) = (MeshScratch::new(), OpCount::default());
+            spline_resample(&times, &values, 0.0, span, 2, &mut scratch, &mut ops);
+            let (k1, k2) = ((k - 1) as u64, (k - 2) as u64);
+            let expected = OpCount {
+                add: 5 * k1 + 6 * k2 + 2,
+                mul: 7 * k1 + 7 * k2 + 2,
+                div: k1 + k2,
+                store: 4 * k1,
+                ..OpCount::default()
+            };
+            assert_eq!(ops, expected, "k = {k}");
+            assert_spline_matches_reference(&times, &values, span, 2, &mut scratch);
+        }
+    }
+
+    #[test]
+    fn spline_matches_reference_at_the_knot_count_extremes() {
+        // One scratch throughout, shrinking and regrowing the knot count,
+        // as a stream's reused scratch sees it.
+        let mut scratch = MeshScratch::new();
+        for (k, mean_dt, span, n) in [
+            (140, 0.86, 120.0, 512),
+            (3, 1.0, 2.5, 64),
+            (3, 40.0, 120.0, 512),
+            (60, 0.2, 120.0, 512),
+            (140, 0.86, 120.0, 64),
+            (141, 0.2, 120.0, 512),
+        ] {
+            let times = uneven_times(k, mean_dt, k as u64);
+            let values = tone(&times, 0.25, 0.06);
+            assert_spline_matches_reference(&times, &values, span, n, &mut scratch);
+        }
+    }
+
+    // Random knot sets: 3 to 150 knots, gaps mixing sub-step clusters
+    // (closer than the mesh step) with RR-like intervals, and spans from
+    // shorter than the knots to twice their range (a last knot well before
+    // `t0 + span`).
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn spline_is_bit_identical_to_the_four_pass_reference(
+            gaps in proptest::collection::vec(
+                proptest::prop_oneof![0.001f64..0.05, 0.3f64..1.6],
+                2..150,
+            ),
+            levels in proptest::collection::vec(0.4f64..1.4, 150),
+            start in 0.0f64..5000.0,
+            span_scale in 0.6f64..2.0,
+            n in proptest::prop_oneof![proptest::Just(64usize), proptest::Just(512usize)],
+        ) {
+            let mut times = vec![start];
+            for g in &gaps {
+                times.push(times[times.len() - 1] + g);
+            }
+            let values = &levels[..times.len()];
+            let span = (times[times.len() - 1] - start) * span_scale;
+            assert_spline_matches_reference(&times, values, span, n, &mut MeshScratch::new());
+        }
     }
 }

@@ -116,36 +116,6 @@ impl DvfsModel {
             frequency: self.max_frequency(v).min(self.nominal.frequency),
         }
     }
-
-    /// Like [`DvfsModel::opp_for_slack`] but quantised to the discrete
-    /// voltage ladder (realistic regulators): picks the lowest ladder
-    /// voltage whose maximum frequency still meets `f0·cycle_ratio`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycle_ratio` is not in `(0, 1]`.
-    pub fn discrete_opp_for_slack(&self, cycle_ratio: f64) -> OperatingPoint {
-        assert!(
-            cycle_ratio > 0.0 && cycle_ratio <= 1.0,
-            "cycle ratio must be in (0, 1], got {cycle_ratio}"
-        );
-        let f_needed = self.nominal.frequency * cycle_ratio;
-        let mut best = self.nominal;
-        for &v in &self.ladder {
-            if v < self.min_voltage {
-                break;
-            }
-            if self.max_frequency(v) >= f_needed {
-                best = OperatingPoint {
-                    voltage: v,
-                    frequency: f_needed,
-                };
-            } else {
-                break;
-            }
-        }
-        best
-    }
 }
 
 impl Default for DvfsModel {
@@ -213,18 +183,6 @@ mod tests {
         let m = DvfsModel::ninety_nm();
         let opp = m.opp_for_slack(0.05);
         assert!(opp.voltage >= 0.55);
-    }
-
-    #[test]
-    fn discrete_ladder_quantises_upward() {
-        let m = DvfsModel::ninety_nm();
-        let cont = m.opp_for_slack(0.6);
-        let disc = m.discrete_opp_for_slack(0.6);
-        // The discrete voltage is a ladder step at or above the
-        // continuous solution, and still sustains the needed frequency.
-        assert!(disc.voltage >= cont.voltage - 1e-9);
-        assert!(m.max_frequency(disc.voltage) >= disc.frequency);
-        assert!((disc.voltage * 20.0).round() / 20.0 - disc.voltage < 1e-9);
     }
 
     #[test]
